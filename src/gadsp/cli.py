@@ -2,7 +2,8 @@
 
 Commands: quiver, check, mc, verify, selftest.  Exit codes: 0 success /
 solvable, 1 unsolvable (check) or failed checks, 2 invalid input or
-precondition failure, 3 search cap exceeded.  All output is deterministic
+precondition failure, 3 search cap exceeded, 4 internal error (a crash,
+with its traceback on stderr; never a verdict).  All output is deterministic
 byte for byte for a fixed input and configuration.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from .builder import build_instance
 from .matrixops import (
@@ -44,6 +46,7 @@ EXIT_SOLVABLE = 0
 EXIT_UNSOLVABLE = 1
 EXIT_INVALID = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path):
@@ -89,7 +92,7 @@ def cmd_check(args):
     doc = verdict_to_document(inst, verdict)
     if args.reduce and verdict.solvable:
         from .sigma import reduce_pair
-        trace = reduce_pair(inst, node_cap=args.max_nodes)
+        trace = reduce_pair(inst, verdict)
         doc["reduction"] = {
             "terminal": trace.terminal_kind,
             "steps": [{"kind": s.kind, "at": list(s.at), "value": str(s.value)}
@@ -258,6 +261,10 @@ def main(argv=None) -> int:
             NonSplitError, ValueError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INVALID
+    except Exception:
+        sys.stderr.write("internal error:\n")
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -9,6 +9,9 @@ in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from math import lcm
+from operator import mul
 
 from .numeric import GaussRat, ZERO
 
@@ -121,6 +124,26 @@ def dot(beta, lam) -> GaussRat:
         if b:
             acc = acc + b * l
     return acc
+
+
+def orthogonality_test(lam):
+    """The predicate beta -> (beta . lam == 0), in integer arithmetic.
+
+    lam is brought over one common denominator (the lcm of the denominators
+    of its real and imaginary parts); beta . lam vanishes exactly when the
+    integer dot products of beta with the real and with the imaginary
+    numerators both vanish.  Only the support of lam is visited.
+    """
+    ratios = [l.re.as_integer_ratio() + l.im.as_integer_ratio() for l in lam]
+    den = lcm(*(d for _, rd, _, jd in ratios for d in (rd, jd)))
+    support = [bool(rn or jn) for rn, _, jn, _ in ratios]
+    re = [rn * (den // rd) for rn, rd, jn, _ in ratios if rn or jn]
+    im = [jn * (den // jd) for rn, _, jn, jd in ratios if rn or jn]
+
+    def orthogonal(beta) -> bool:
+        return (not sum(map(mul, compress(beta, support), re))
+                and not sum(map(mul, compress(beta, support), im)))
+    return orthogonal
 
 
 # ---------------------------------------------------------------------------

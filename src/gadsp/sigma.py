@@ -11,14 +11,16 @@ problem.  Both produce replayable certificates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le, sub
 
-from .builder import QuiverInstance, lattice_member, shift_vector
+from .builder import QuiverInstance, lattice_member
 from .numeric import GaussRat
 from .quiver import (
     Quiver,
     composite_lambda,
     composite_pair,
     dot,
+    orthogonality_test,
     pair_with_unit,
     reflect_pair_composite,
     reflect_pair_leg,
@@ -74,15 +76,12 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice_filter,
         raise SearchCapExceeded("decomposition box volume above configured limit")
     budget = [work_cap]
     roots = positive_roots_in_box(q, alpha, budget)
-    picked = []
-    for beta in roots:
-        if beta == tuple(alpha):
-            continue
-        if lattice_filter is not None and not lattice_filter(beta):
-            continue
-        if dot(beta, lam):
-            continue
-        picked.append(beta)
+    alpha = tuple(alpha)
+    picked = [beta for beta in roots if beta != alpha]
+    if lattice_filter is not None:
+        picked = list(filter(lattice_filter, picked))
+    if picked:
+        picked = list(filter(orthogonality_test(lam), picked))
     # Candidates sorted by decreasing p-value, then lexicographically: the
     # first optimal decomposition found is canonical.
     def key(beta):
@@ -96,33 +95,54 @@ def _best_decomposition(q: Quiver, alpha, candidates, node_cap):
 
     Returns (best sum, parts tuple, nodes visited); best is None when alpha
     has no decomposition into candidates at all.
+
+    Every decomposition of a remainder has a part that is nonzero at the
+    remainder's first nonzero coordinate, and a part that fits is zero
+    before it, so each remainder branches only on the candidates whose
+    first nonzero coordinate is that one.  Candidates keep their given
+    order inside each group, and the first optimum found is kept.  The
+    search runs on an explicit stack, so its depth is not bounded by the
+    interpreter's recursion limit.
     """
+    alpha = tuple(alpha)
     p_of = {c: tits(q, c)[1] for c in candidates}
-    memo = {}
-    nodes = [0]
-    zero = tuple(0 for _ in alpha)
-
-    def best(rem):
-        if rem == zero:
-            return 0, ()
-        if rem in memo:
-            return memo[rem]
-        nodes[0] += 1
-        if nodes[0] > node_cap:
-            raise SearchCapExceeded("decomposition search node cap exceeded")
-        result = (None, ())
-        for c in candidates:
-            if all(x <= r for x, r in zip(c, rem)):
-                sub, parts = best(tuple(r - x for r, x in zip(rem, c)))
-                if sub is not None:
-                    total = p_of[c] + sub
-                    if result[0] is None or total > result[0]:
-                        result = (total, (c,) + parts)
-        memo[rem] = result
-        return result
-
-    value, parts = best(tuple(alpha))
-    return value, parts, nodes[0]
+    groups = [[] for _ in alpha]
+    for c in candidates:
+        groups[next(i for i, x in enumerate(c) if x)].append(c)
+    zero = (0,) * len(alpha)
+    memo = {zero: (0, None)}   # remainder -> (best sum, first part)
+    nodes = 0
+    stack = [(alpha, None)]
+    while stack:
+        rem, children = stack.pop()
+        if children is None:
+            if rem in memo:
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchCapExceeded("decomposition search node cap exceeded")
+            lead = next(i for i, r in enumerate(rem) if r)
+            children = [(c, tuple(map(sub, rem, c)))
+                        for c in groups[lead] if all(map(le, c, rem))]
+            stack.append((rem, children))
+            for _, child in children:
+                if child not in memo:
+                    stack.append((child, None))
+            continue
+        best = first = None
+        for c, child in children:
+            value = memo[child][0]
+            if value is not None and (best is None or p_of[c] + value > best):
+                best, first = p_of[c] + value, c
+        memo[rem] = (best, first)
+    value = memo[alpha][0]
+    parts = []
+    rem = alpha
+    while value is not None and rem != zero:
+        c = memo[rem][1]
+        parts.append(c)
+        rem = tuple(map(sub, rem, c))
+    return value, tuple(parts), nodes
 
 
 def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap, box_cap,
@@ -207,8 +227,8 @@ def validate_decomposition(inst: QuiverInstance, cert: ViolatingDecomposition,
 
 @dataclass(frozen=True)
 class ReductionStep:
-    kind: str     # "reflect_composite" | "reflect_leg" | "add_shift"
-    at: tuple     # multi-index, leg vertex, or (pole, gamma)
+    kind: str     # "reflect_composite" | "reflect_leg"
+    at: tuple     # multi-index or leg vertex
     value: GaussRat  # the lambda value legalizing a reflection step
     before: tuple  # (alpha, lambda)
     after: tuple
@@ -249,20 +269,18 @@ def _unit_leg(inst, alpha):
     return v if len(v) == 3 else None
 
 
-def reduce_pair(inst: QuiverInstance, node_cap=DEFAULT_NODE_CAP,
-                box_cap=DEFAULT_BOX_VOLUME_CAP,
-                work_cap=DEFAULT_WORK_CAP) -> ReductionTrace:
+def reduce_pair(inst: QuiverInstance, verdict: Verdict) -> ReductionTrace:
     """Reduce (alpha, lambda) by legal reflections to a unit root or a
     quasi-fundamental vector.
 
-    Only reflections at composite roots and leg vertices with nonvanishing
-    lambda value are legal; each one strictly lowers the coordinate sum.
-    The additive-shift fallback is kept for completeness but cannot change
-    any legality value (composite and leg lambda values are shift
-    invariants), so a genuinely stuck state means the input was not
-    solvable-reducible and is reported as an error.
+    `verdict` is the instance's `sigma_tilde_member` verdict; an unsolvable
+    one gives an inapplicable trace.  Only reflections at composite roots
+    and leg vertices with nonvanishing lambda value are legal; each one
+    strictly lowers the coordinate sum.  Additive shifts cannot change any
+    legality value (composite and leg lambda values are shift invariants),
+    so a stuck state means the input was not solvable-reducible and is
+    reported as an error.
     """
-    verdict = sigma_tilde_member(inst, node_cap, box_cap, work_cap)
     if not verdict.solvable:
         return ReductionTrace(False, ())
 
@@ -286,7 +304,6 @@ def reduce_pair(inst: QuiverInstance, node_cap=DEFAULT_NODE_CAP,
                                   (alpha, lam), lift_xi(inst, alpha))
         step = _find_reflection(inst, alpha, lam)
         if step is None:
-            _shift_fallback(inst, alpha, lam, steps)
             raise ReductionError("no legal reflection available (stuck)")
         kind, at, value = step
         before = (alpha, lam)
@@ -313,25 +330,11 @@ def _find_reflection(inst, alpha, lam):
     return None
 
 
-def _shift_fallback(inst, alpha, lam, steps):
-    # Generic shifts 1, 1/2, 1/3, ... cannot unblock a reflection (the
-    # legality values are shift invariants); attempted for the record only.
-    for k in range(1, 4):
-        gamma = GaussRat(1) / GaussRat(k)
-        for i0 in sorted(inst.i_irr - {0}):
-            z = shift_vector(inst, i0)
-            shifted = tuple(l + gamma * zv for l, zv in zip(lam, z))
-            steps.append(ReductionStep("add_shift", (i0, gamma), gamma,
-                                       (alpha, lam), (alpha, shifted)))
-            if _find_reflection(inst, alpha, shifted) is not None:
-                return
-
-
 def replay_trace(inst: QuiverInstance, trace: ReductionTrace):
     """Run the trace backwards from its terminal pair; returns (alpha, lambda).
 
-    Reflection steps are involutions and shifts invert by negating gamma, so
-    a faithful trace replays to the instance's original pair.
+    Reflection steps are involutions, so a faithful trace replays to the
+    instance's original pair.
     """
     if not trace.applicable:
         raise ValueError("trace is not applicable")
@@ -341,10 +344,6 @@ def replay_trace(inst: QuiverInstance, trace: ReductionTrace):
             alpha, lam = reflect_pair_composite(inst, step.at, alpha, lam)
         elif step.kind == "reflect_leg":
             alpha, lam = reflect_pair_leg(inst, step.at, alpha, lam)
-        elif step.kind == "add_shift":
-            i0, gamma = step.at
-            z = shift_vector(inst, i0)
-            lam = tuple(l - gamma * zv for l, zv in zip(lam, z))
         else:
             raise ValueError("unknown step kind %r" % step.kind)
     return alpha, lam

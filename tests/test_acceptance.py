@@ -347,7 +347,8 @@ def test_acceptance_8_verdict_invariance():
         data = random_instance_data(rng, n=rng.randint(1, 3), p=rng.randint(1, 2))
         data, _ = normalize(data)
         inst = build_instance(data)
-        base = sigma_tilde_member(inst).solvable
+        verdict = sigma_tilde_member(inst)
+        base = verdict.solvable
         spots = [(v, k) for v in inst.block_vertices()
                  for k in range(1, inst.e(*v))]
         if spots:
@@ -357,7 +358,7 @@ def test_acceptance_8_verdict_invariance():
         i0 = rng.randint(1, inst.num_poles - 1)
         assert sigma_tilde_member(add_shift(inst, i0, gamma)).solvable == base
         if base:
-            trace = reduce_pair(inst)
+            trace = reduce_pair(inst, verdict)
             if trace.steps:
                 alpha2, lam2 = trace.steps[0].after
                 after = _membership(inst.quiver, alpha2, lam2,

@@ -83,6 +83,18 @@ def test_tiny_cap_exits_three(tmp_path, capsys):
     assert main(["check", path, "--max-nodes", "1"]) == 3
 
 
+def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    path = write(tmp_path, "inst.json", fuchsian_doc(resonant=False))
+    monkeypatch.setattr("gadsp.cli.sigma_tilde_member", crash)
+    assert main(["check", path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err and "RecursionError" in captured.err
+
+
 def test_verify_and_mc_roundtrip(tmp_path, capsys):
     rng = rng_from_seed(99)
     data, t = random_orbit_tuple(rng, n=2, p=1)

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gadsp.builder import build_instance
 from gadsp.gensamples import (
@@ -15,6 +17,7 @@ from gadsp.quiver import (
     composite_lambda,
     dot,
     euler_form,
+    orthogonality_test,
     reflect_composite,
     reflect_dim,
     reflect_param,
@@ -211,3 +214,32 @@ def test_composite_pair_reflection_preserves_dot_on_lattice():
         assert back == (inst.alpha, inst.lam)
         checked += 1
     assert checked >= 30
+
+
+fractions = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+gauss = st.builds(GaussRat, fractions, fractions)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_orthogonality_test_matches_dot(data):
+    n = data.draw(st.integers(1, 6))
+    beta = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    lam = data.draw(st.lists(st.one_of(st.just(GaussRat(0)), gauss),
+                             min_size=n, max_size=n))
+    support = [k for k in range(n) if beta[k]]
+    if support and data.draw(st.booleans()):
+        # move one coordinate so that beta . lam = 0
+        k = data.draw(st.sampled_from(support))
+        lam[k] = lam[k] - dot(beta, lam) / GaussRat(beta[k])
+    assert orthogonality_test(lam)(beta) == (not dot(beta, lam))
+
+
+def test_orthogonality_test_mixed_denominators():
+    lam = (GaussRat(Fraction(1, 6), Fraction(-1, 4)), GaussRat(0),
+           GaussRat(Fraction(-1, 3), Fraction(1, 2)), GaussRat(7))
+    orthogonal = orthogonality_test(lam)
+    assert orthogonal((2, 5, 1, 0))
+    assert not orthogonal((2, 5, 1, 1))
+    assert not orthogonal((1, 0, 1, 0))
+    assert orthogonality_test(())(())

@@ -1,7 +1,9 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gadsp.builder import add_shift, build_instance, perm_xi
 from gadsp.gensamples import random_fuchsian_data, random_instance_data
@@ -12,6 +14,7 @@ from gadsp.serialize import parse_spectral
 from gadsp.sigma import (
     ExhaustiveWitness,
     ViolatingDecomposition,
+    _best_decomposition,
     reduce_pair,
     replay_trace,
     sigma_member,
@@ -146,7 +149,7 @@ def test_node_cap_is_a_distinct_outcome():
 
 def test_reduce_pair_trace_replays():
     inst = nonresonant_hypergeometric()
-    trace = reduce_pair(inst)
+    trace = reduce_pair(inst, sigma_tilde_member(inst))
     assert trace.applicable
     assert trace.terminal_kind in ("unit-composite", "unit-leg",
                                    "quasi-fundamental")
@@ -160,7 +163,7 @@ def test_reduce_pair_trace_replays():
 
 def test_reduce_pair_inapplicable_for_unsolvable():
     inst = resonant_hypergeometric()
-    trace = reduce_pair(inst)
+    trace = reduce_pair(inst, sigma_tilde_member(inst))
     assert not trace.applicable
     assert trace.steps == ()
 
@@ -174,7 +177,7 @@ def test_reduce_pair_terminal_unit_when_already_unit():
         v = sigma_tilde_member(inst)
         if v.solvable:
             break
-    trace = reduce_pair(inst)
+    trace = reduce_pair(inst, v)
     if sum(inst.alpha) == len(inst.i_irr):
         assert trace.steps == ()
         assert trace.terminal_kind == "unit-composite"
@@ -202,7 +205,7 @@ def test_verdict_invariance_under_perm_and_shift():
 def test_reduction_step_invariance():
     # one legal reduction step does not change the solvable flag
     inst = nonresonant_hypergeometric()
-    trace = reduce_pair(inst)
+    trace = reduce_pair(inst, sigma_tilde_member(inst))
     assert trace.applicable and trace.steps
     first = trace.steps[0]
     # replay the first step on a fresh membership call at the pair level
@@ -213,3 +216,67 @@ def test_reduction_step_invariance():
                      lambda b: lattice_member(inst, b),
                      10_000_000, 5_000_000, 10_000_000)
     assert v2.solvable
+
+
+def reference_best_decomposition(q, alpha, candidates):
+    """Exhaustive reference: every candidate is tried at every remainder."""
+    p_of = {c: tits(q, c)[1] for c in candidates}
+    memo = {}
+    zero = tuple(0 for _ in alpha)
+
+    def best(rem):
+        if rem == zero:
+            return 0
+        if rem not in memo:
+            result = None
+            for c in candidates:
+                if all(x <= r for x, r in zip(c, rem)):
+                    sub = best(tuple(r - x for r, x in zip(rem, c)))
+                    if sub is not None and (result is None
+                                            or p_of[c] + sub > result):
+                        result = p_of[c] + sub
+            memo[rem] = result
+        return memo[rem]
+
+    return best(tuple(alpha))
+
+
+def test_best_decomposition_deep_remainder():
+    # 1200 parts, deeper than the interpreter's default recursion limit;
+    # each simple root has p-value 0.
+    q = Quiver(("a", "b"), (("a", "b"),) * 2)
+    best, parts, nodes = _best_decomposition(q, (600, 600), [(1, 0), (0, 1)],
+                                             10**7)
+    assert best == 0
+    assert sorted(parts) == [(0, 1)] * 600 + [(1, 0)] * 600
+    assert nodes == 1200
+
+
+@st.composite
+def decomposition_problems(draw):
+    n = draw(st.integers(1, 4))
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=5)) if pairs else []
+    q = Quiver(tuple(range(n)), tuple(arrows))
+    alpha = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if not any(alpha):
+        alpha = (1,) + alpha[1:]
+    box = [beta for beta in itertools.product(*(range(a + 1) for a in alpha))
+           if any(beta)]
+    candidates = draw(st.lists(st.sampled_from(box), unique=True, max_size=12))
+    candidates.sort(key=lambda c: (-tits(q, c)[1], c))
+    return q, alpha, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposition_problems())
+def test_best_decomposition_matches_reference(problem):
+    q, alpha, candidates = problem
+    best, parts, _ = _best_decomposition(q, alpha, candidates, 10**7)
+    assert best == reference_best_decomposition(q, alpha, candidates)
+    if best is None:
+        assert parts == ()
+    else:
+        assert all(c in candidates for c in parts)
+        assert tuple(map(sum, zip(*parts))) == alpha
+        assert sum(tits(q, c)[1] for c in parts) == best
