@@ -6,13 +6,21 @@ decidable and all downstream certificates are reproducible bit for bit.
 Rank uses fraction-free (Bareiss) elimination over the Gaussian integers
 after clearing denominators; pivoting always takes the first nonzero entry,
 never a magnitude heuristic.
+
+Eigenvalues are the roots in Q(i) of the characteristic polynomial, found
+exactly in plain Python by modular root finding and Hensel lifting (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 15).  Scaling by the common
+denominator makes every root in Q(i) a Gaussian integer.  The roots of the
+squarefree part are found modulo a small prime p = 1 (mod 4), Hensel-lifted
+until p^k bounds their size, and mapped back to the least Gaussian integer in
+their class.  Exact deflation by each candidate gives its multiplicity, and a
+factor left over proves that the polynomial does not split over Q(i).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-
-import sympy
 
 
 class GaussParseError(ValueError):
@@ -598,30 +606,38 @@ def solve_sylvester(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatr
 
 
 def char_poly(m: ExactMatrix):
-    """Monic characteristic polynomial coefficients [1, c_{n-1}, ..., c_0]."""
+    """Monic characteristic polynomial coefficients [1, c_{n-1}, ..., c_0].
+
+    Faddeev-LeVerrier on the Gaussian-integer matrix a = d*m, d the common
+    denominator of m's entries; c_k(m) = c_k(a) / d^k.  Every matrix of the
+    recurrence for a lies in Z[i], so its divisions by k are exact.
+    """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
+    d = math.lcm(*(part.denominator for x in m.entries for part in (x.re, x.im)))
+    a = [[(x.re.numerator * (d // x.re.denominator),
+           x.im.numerator * (d // x.im.denominator)) for x in m.row_list(i)]
+         for i in range(n)]
     coeffs = [ONE]
-    mk = ExactMatrix.identity(n)
+    mk = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        mk = m * mk
-        ck = -(mk.trace() / GaussRat(k))
-        coeffs.append(ck)
-        mk = mk.add_scalar(ck)
+        cols = list(zip(*mk))
+        mk = [[_zdot(row, col) for col in cols] for row in a]
+        tr = (sum(mk[i][i][0] for i in range(n)), sum(mk[i][i][1] for i in range(n)))
+        ck = _zdiv_exact((-tr[0], -tr[1]), (k, 0))
+        coeffs.append(GaussRat(Fraction(ck[0], d ** k), Fraction(ck[1], d ** k)))
+        for i in range(n):
+            mk[i][i] = (mk[i][i][0] + ck[0], mk[i][i][1] + ck[1])
     return coeffs
 
 
-_LAM = sympy.Symbol("_gadsp_lambda")
-
-
-def _to_sympy(g: GaussRat):
-    return sympy.Rational(g.re) + sympy.Rational(g.im) * sympy.I
-
-
-def _from_sympy(expr) -> GaussRat:
-    re, im = expr.as_real_imag()
-    return GaussRat(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+def _zdot(u, v):
+    re = im = 0
+    for (a, b), (c, e) in zip(u, v):
+        re += a * c - b * e
+        im += a * e + b * c
+    return re, im
 
 
 def qi_roots(coeffs):
@@ -630,18 +646,179 @@ def qi_roots(coeffs):
     Returns sorted (root, multiplicity) pairs; raises NonSplitError if some
     irreducible factor over Q(i) has degree > 1.
     """
-    poly = sympy.Poly([_to_sympy(c) for c in coeffs], _LAM, domain="QQ_I")
-    _, factors = poly.factor_list()
+    lead = coeffs[0]
+    if lead != ONE:
+        coeffs = [c / lead for c in coeffs]
+    # q(y) = d^n p(y/d) is monic over Z[i]; its roots in Q(i) are Gaussian
+    # integers, d times the roots of p.
+    d = math.lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+    q = [(c.re.numerator * d ** k // c.re.denominator,
+          c.im.numerator * d ** k // c.im.denominator)
+         for k, c in enumerate(coeffs)]
+    if len(q) == 1:
+        return []
+    n = len(q) - 1
+    dq = [((n - k) * a, (n - k) * b) for k, (a, b) in enumerate(q[:-1])]
+    g = _zprimitive(_zpoly_gcd(q, dq))
+    s, _ = _zdivmod(q, [_zmul(_zconj(g[0]), c) for c in g])  # lc(g) is a unit
+    # If q splits, the candidates are exactly its roots; if not, a factor
+    # of q is left over after deflating by every candidate.
     roots = []
-    for fac, mult in factors:
-        if fac.degree() > 1:
-            raise NonSplitError("polynomial does not split over Q(i)")
-        if fac.degree() == 1:
-            lead, const = fac.all_coeffs()
-            root = _from_sympy(sympy.together(-const / lead))
-            roots.append((root, mult))
+    for r in _gaussian_integer_candidates(s):
+        mult = 0
+        while True:
+            quot, rem = _zdivmod(q, [(1, 0), (-r[0], -r[1])])
+            if rem[0] != (0, 0):
+                break
+            q, mult = quot, mult + 1
+        roots.append((GaussRat(Fraction(r[0], d), Fraction(r[1], d)), mult))
+    if len(q) > 1:
+        raise NonSplitError("polynomial does not split over Q(i)")
     roots.sort(key=lambda p: p[0].sort_key())
     return roots
+
+
+# Polynomials over Z[i] are lists of (re, im) int pairs, highest degree first.
+
+
+def _zconj(a):
+    return (a[0], -a[1])
+
+
+def _znorm(a):
+    return a[0] * a[0] + a[1] * a[1]
+
+
+def _zgcd(a, b):
+    """A gcd in Z[i], by Euclid with nearest-integer quotients."""
+    while b != (0, 0):
+        n = _znorm(b)
+        num = _zmul(a, _zconj(b))
+        quo = ((2 * num[0] + n) // (2 * n), (2 * num[1] + n) // (2 * n))
+        qb = _zmul(quo, b)
+        a, b = b, (a[0] - qb[0], a[1] - qb[1])
+    return a
+
+
+def _zprimitive(f):
+    """f divided by a gcd in Z[i] of its coefficients."""
+    if not f:
+        return f
+    c = math.gcd(*(x for z in f for x in z))
+    f = [(a // c, b // c) for a, b in f]
+    # The rest h of the content divides h * conj(h), which divides the gcd
+    # G of the norms; so h = gcd(G, f mod G), on numbers below G.
+    big = math.gcd(*map(_znorm, f))
+    h = (big, 0)
+    for a, b in f:
+        h = _zgcd(h, (a % big, b % big))
+    return [_zdiv_exact(z, h) for z in f]
+
+
+def _zpoly_gcd(a, b):
+    """A gcd over Q(i) of two Z[i] polynomials: Euclid on primitive pseudo-remainders."""
+    while b:
+        lb, a = b[0], list(a)
+        while len(a) >= len(b):
+            la = a[0]
+            for j in range(len(a)):
+                x = _zmul(lb, a[j])
+                y = _zmul(la, b[j]) if j < len(b) else (0, 0)
+                a[j] = (x[0] - y[0], x[1] - y[1])
+            while a and a[0] == (0, 0):
+                a.pop(0)
+        a, b = b, _zprimitive(a)
+    return a
+
+
+def _zdivmod(a, b):
+    """Quotient and remainder of a by the monic b, over Z[i]."""
+    a = list(a)
+    n = len(a) - len(b) + 1
+    for k in range(n):
+        c = a[k]
+        if c != (0, 0):
+            for j in range(1, len(b)):
+                t = _zmul(c, b[j])
+                a[k + j] = (a[k + j][0] - t[0], a[k + j][1] - t[1])
+    return a[:n], a[n:]
+
+
+def _lifting_prime(s):
+    """(p, iota, roots of s mod p) for the least prime p = 1 (mod 4) at which
+    every root of s mod p is simple; s maps to F_p by a + bi -> a + b*iota,
+    where iota^2 = -1 (mod p).  Such p exists because s is squarefree."""
+    n = len(s) - 1
+    p = 1
+    while True:
+        p += 4
+        if any(p % f == 0 for f in range(3, int(p ** 0.5) + 1, 2)):
+            continue
+        iota = next(x for x in (pow(c, (p - 1) // 4, p) for c in range(2, p))
+                    if x * x % p == p - 1)
+        sp = [(a + b * iota) % p for a, b in s]
+        dsp = [(n - k) * c for k, c in enumerate(sp[:-1])]
+        roots = [x for x in range(p) if _horner(sp, x, p) == 0]
+        if all(_horner(dsp, x, p) for x in roots):
+            return p, iota, roots
+
+
+def _horner(f, x, m):
+    acc = 0
+    for c in f:
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _newton_lift(f, df, x, p, modulus):
+    """Lift a simple root x of f mod p to a root mod `modulus` (a power of p)."""
+    m = p
+    while m < modulus:
+        m = min(m * m, modulus)
+        x = (x - _horner(f, x, m) * pow(_horner(df, x, m), -1, m)) % m
+    return x
+
+
+def _gaussian_integer_candidates(s):
+    """Gaussian integers among which every Gaussian-integer root of the
+    monic squarefree s lies.
+
+    Each such root r reduces to a simple root of s mod p, which lifts
+    uniquely to r's image mod p^k.  The kernel of Z[i] -> Z/p^k is the ideal
+    g Z[i], g = pi^k with pi Z[i] the kernel mod p, of norm p^k > 16 B^2;
+    B = 2 max |c_k|^(1/k) over the coefficients c_k of s bounds |r|
+    (Fujiwara), so r is the unique element of least modulus in its class.
+    """
+    p, iota, roots = _lifting_prime(s)
+    # B, rounded up to a power of two: |c_k|^(1/k) < 2^(bits(|c_k|^2) / 2k)
+    log_bound = 1 + max(-(-_znorm(c).bit_length() // (2 * k))
+                        for k, c in enumerate(s[1:], 1))
+    # Gauss reduction of the kernel lattice {(a, b) : a + b*iota = 0 mod p};
+    # its shortest vector pi generates the ideal.
+    pi, v = (p, 0), (-iota, 1)
+    while True:
+        if _znorm(v) < _znorm(pi):
+            pi, v = v, pi
+        m = (2 * (pi[0] * v[0] + pi[1] * v[1]) + _znorm(pi)) // (2 * _znorm(pi))
+        if m == 0:
+            break
+        v = (v[0] - m * pi[0], v[1] - m * pi[1])
+    modulus, g = p, pi
+    while modulus >> (4 + 2 * log_bound) == 0:
+        modulus, g = modulus * p, _zmul(g, pi)
+    iota = _newton_lift([1, 0, 1], [2, 0], iota, p, modulus)
+    n = len(s) - 1
+    sm = [(a + b * iota) % modulus for a, b in s]
+    dsm = [(n - k) * c for k, c in enumerate(sm[:-1])]
+    out = []
+    for x in roots:
+        t = _newton_lift(sm, dsm, x, p, modulus)
+        # t - round(t / g) * g, with t / g = t * conj(g) / modulus
+        c = ((2 * t * g[0] + modulus) // (2 * modulus),
+             (-2 * t * g[1] + modulus) // (2 * modulus))
+        cg = _zmul(c, g)
+        out.append((t - cg[0], -cg[1]))
+    return out
 
 
 def qi_eigenvalues(m: ExactMatrix):

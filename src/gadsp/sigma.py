@@ -157,7 +157,8 @@ def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap, box_cap,
     if lattice_filter is not None and not lattice_filter(alpha):
         reasons.append("FAIL: alpha is not in the level-sum lattice")
         return Verdict(False, tuple(reasons))
-    if dot(alpha, lam):
+    support = [(a, l) for a, l in zip(alpha, lam) if a and l]
+    if sum(a * l.re for a, l in support) or sum(a * l.im for a, l in support):
         reasons.append("FAIL: alpha . lambda != 0")
         return Verdict(False, tuple(reasons))
     reasons.append("pass: alpha . lambda = 0")

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gadsp.numeric import (
     ExactMatrix,
@@ -9,6 +13,7 @@ from gadsp.numeric import (
     GaussRat,
     NonSplitError,
     SingularOperatorError,
+    _lifting_prime,
     char_poly,
     gauss_parse,
     I_UNIT,
@@ -149,6 +154,152 @@ def test_char_poly_and_eigenvalues():
     assert eigs == [(GaussRat(0, -1), 1), (GaussRat(0, 1), 1)]
 
 
+def reference_char_poly(m):
+    """Faddeev-LeVerrier in GaussRat arithmetic, the reference for char_poly."""
+    coeffs = [GaussRat(1)]
+    mk = ExactMatrix.identity(m.rows)
+    for k in range(1, m.rows + 1):
+        mk = m * mk
+        ck = -(mk.trace() / GaussRat(k))
+        coeffs.append(ck)
+        mk = mk.add_scalar(ck)
+    return coeffs
+
+
+small_fractions = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 5).flatmap(lambda n: st.lists(
+    st.builds(GaussRat, small_fractions, small_fractions),
+    min_size=n * n, max_size=n * n).map(lambda e: ExactMatrix(n, n, e))))
+def test_char_poly_matches_reference(m):
+    assert char_poly(m) == reference_char_poly(m)
+
+
 def test_non_split_detection():
     with pytest.raises(NonSplitError):
         qi_roots([GaussRat(1), GaussRat(0), GaussRat(2)])  # x^2 + 2
+
+
+# ---------------------------------------------------------------------------
+# qi_roots: the modular root finder, against sympy as an independent oracle
+
+
+def _poly_mul(a, b):
+    out = [GaussRat(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _from_roots(roots):
+    poly = [GaussRat(1)]
+    for r in roots:
+        poly = _poly_mul(poly, [GaussRat(1), -r])
+    return poly
+
+
+def _zi_from_roots(roots):
+    """The monic Z[i] polynomial with the given Gaussian-integer roots."""
+    return [(c.re.numerator, c.im.numerator)
+            for c in _from_roots([GaussRat(*r) for r in roots])]
+
+
+def sympy_qi_roots(coeffs):
+    """Sorted (root, multiplicity) pairs from sympy's factorization over
+    QQ_I, or None when some irreducible factor has degree > 1."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.re) + sympy.Rational(c.im) * sympy.I
+                       for c in coeffs], x, domain="QQ_I")
+    roots = []
+    for fac, mult in poly.factor_list()[1]:
+        if fac.degree() > 1:
+            return None
+        lead, const = fac.all_coeffs()
+        re, im = sympy.together(-const / lead).as_real_imag()
+        roots.append((GaussRat(Fraction(int(re.p), int(re.q)),
+                               Fraction(int(im.p), int(im.q))), mult))
+    roots.sort(key=lambda p: p[0].sort_key())
+    return roots
+
+
+def _qi_roots_or_none(coeffs):
+    try:
+        return qi_roots(coeffs)
+    except NonSplitError:
+        return None
+
+
+IRREDUCIBLE = {
+    "x^2-2": [GaussRat(1), GaussRat(0), GaussRat(-2)],
+    "x^2-i": [GaussRat(1), GaussRat(0), GaussRat(0, -1)],
+    "x^3-3": [GaussRat(1), GaussRat(0), GaussRat(0), GaussRat(-3)],
+}
+
+big_fractions = st.builds(Fraction, st.integers(-50, 50),
+                          st.one_of(st.integers(1, 12), st.integers(1, 2**40)))
+gauss_roots = st.one_of(st.just(GaussRat(0)),
+                        st.builds(GaussRat, big_fractions),
+                        st.builds(GaussRat, big_fractions, big_fractions))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(gauss_roots, st.integers(1, 5)), max_size=3),
+       st.sampled_from([None] + sorted(IRREDUCIBLE)))
+def test_qi_roots_matches_sympy(factors, irreducible):
+    poly = _from_roots([r for r, m in factors for _ in range(m)])
+    if irreducible is not None:
+        poly = _poly_mul(poly, IRREDUCIBLE[irreducible])
+    assert _qi_roots_or_none(poly) == sympy_qi_roots(poly)
+
+
+def test_qi_roots_degree_zero_and_empty_matrix():
+    assert qi_roots([GaussRat(1)]) == []
+    assert qi_eigenvalues(ExactMatrix.zeros(0, 0)) == []
+
+
+def test_qi_roots_power_of_x():
+    for n in range(1, 8):
+        assert qi_roots([GaussRat(1)] + [GaussRat(0)] * n) == [(GaussRat(0), n)]
+
+
+def test_qi_roots_non_monic_input():
+    poly = [GaussRat(2) * c for c in _from_roots([GaussRat(1, 1), GaussRat(3)])]
+    assert qi_roots(poly) == [(GaussRat(1, 1), 1), (GaussRat(3), 1)]
+
+
+def test_qi_roots_skips_primes_where_roots_collide():
+    # 0 and 5 meet mod 5; 0 and 2 +- i meet mod 5 and 0 and 3 +- 2i mod 13,
+    # whichever square root of -1 is taken.
+    assert _lifting_prime(_zi_from_roots([(0, 0), (5, 0)]))[0] == 13
+    gaussian = [(0, 0), (2, 1), (2, -1), (3, 2), (3, -2)]
+    assert _lifting_prime(_zi_from_roots(gaussian))[0] == 17
+    roots = [GaussRat(*r) for r in gaussian]
+    assert qi_roots(_from_roots(roots)) == sorted(
+        ((r, 1) for r in roots), key=lambda p: p[0].sort_key())
+    assert qi_roots(_from_roots([GaussRat(0), GaussRat(5), GaussRat(5)])) == [
+        (GaussRat(0), 1), (GaussRat(5), 2)]
+
+
+def test_qi_roots_rejects_roots_that_exist_only_mod_p():
+    # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root mod every prime, none in Q(i).
+    poly = [GaussRat(c) for c in (1, 0, -11, 0, 36, 0, -36)]
+    assert _lifting_prime([(c.re.numerator, 0) for c in poly])[2]
+    with pytest.raises(NonSplitError):
+        qi_roots(poly)
+
+
+def test_importing_the_cli_does_not_import_sympy():
+    import gadsp
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gadsp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gadsp.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
