@@ -10,6 +10,7 @@ touches non-negative powers, so it never survives the truncation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .builder import QuiverInstance
@@ -18,6 +19,11 @@ from .numeric import (
     GaussRat,
     NonSplitError,
     ZERO,
+    _clear_denominators,
+    _zdiv_exact,
+    _zmatmul,
+    _zmul,
+    _zsub,
     block_diag,
     column_space_basis,
     complete_basis,
@@ -377,23 +383,45 @@ def _modp_entry(g: GaussRat):
     return (re + im * _FAST_I) % p
 
 
+def _algebra_spans(ident, gens, n, product, add):
+    """True when the unital algebra generated by gens is all n x n matrices.
+
+    Matrices are flat row-major lists; product(g, b) multiplies two of them
+    and add(vec) puts vec into an echelon basis of the span, saying whether
+    it was new.  The frontier holds the words that grew the span in the last
+    round, so span(B) ends closed under left multiplication by every
+    generator, and the verdict does not depend on the ring the words are
+    computed in, only on the field of their span.
+    """
+    dim = n * n
+    size = int(add(ident))
+    frontier = [ident]
+    while frontier and size < dim:
+        new_frontier = []
+        for g in gens:
+            for b in frontier:
+                prod = product(g, b)
+                if add(prod):
+                    size += 1
+                    if size == dim:
+                        return True
+                    new_frontier.append(prod)
+        frontier = new_frontier
+    return size == dim
+
+
 def _irreducible_modp(gens, n):
     """True when the algebra closure mod p already spans; None if undecided."""
     p = _FAST_PRIME
-    dim = n * n
     red_gens = []
     for g in gens:
-        rows = []
-        for x in g.entries:
-            v = _modp_entry(x)
-            if v is None:
-                return None
-            rows.append(v)
-        red_gens.append(rows)
+        red = [_modp_entry(x) for x in g.entries]
+        if None in red:
+            return None
+        red_gens.append(red)
     basis = {}
 
     def add(vec):
-        vec = list(vec)
         for piv, row in basis.items():
             f = vec[piv]
             if f:
@@ -402,29 +430,79 @@ def _irreducible_modp(gens, n):
             if x:
                 inv = pow(x, -1, p)
                 basis[idx] = [(inv * y) % p for y in vec]
-                return vec
-        return None
+                return True
+        return False
+
+    def product(g, b):
+        prod = [0] * (n * n)
+        for i in range(n):
+            for k in range(n):
+                a = g[i * n + k]
+                if a:
+                    row = k * n
+                    out = i * n
+                    for j in range(n):
+                        prod[out + j] = (prod[out + j] + a * b[row + j]) % p
+        return prod
 
     ident = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    frontier = [ident]
-    add(ident)
-    while frontier and len(basis) < dim:
-        new_frontier = []
-        for g in red_gens:
-            for b in frontier:
-                prod = [0] * dim
-                for i in range(n):
-                    for k in range(n):
-                        a = g[i * n + k]
-                        if a:
-                            row = k * n
-                            out = i * n
-                            for j in range(n):
-                                prod[out + j] = (prod[out + j] + a * b[row + j]) % p
-                if add(prod) is not None:
-                    new_frontier.append(prod)
-        frontier = new_frontier
-    return True if len(basis) == dim else None
+    return _algebra_spans(ident, red_gens, n, product, add) or None
+
+
+def _irreducible_exact(gens, n):
+    """The same closure over Z[i], exactly.
+
+    Each generator is scaled by the common denominator of its entries; a
+    nonzero scalar leaves the unital algebra unchanged, so every word stays
+    in Z[i].  Words are divided by their integer content.  The basis is kept
+    in fraction-free Gauss-Jordan form, every row d at its own pivot and 0 at
+    the other pivots: a word v reduces to d v minus its pivot entries times
+    the rows, and a new row w with pivot p at q turns every other row into
+    (p row - row[q] w) / d, exact as in Bareiss elimination.  So the entries
+    stay minors of the accepted words; reducing against rows that are only
+    made primitive lets them grow without bound.
+    """
+    basis = {}  # pivot index -> row
+    d = (1, 0)
+
+    def add(vec):
+        nonlocal d
+        w = [_zmul(d, x) for x in vec]
+        for piv, row in basis.items():
+            f = vec[piv]
+            if f != (0, 0):
+                w = [_zsub(x, _zmul(f, y)) for x, y in zip(w, row)]
+        q = next((idx for idx, z in enumerate(w) if z != (0, 0)), None)
+        if q is None:
+            return False
+        p = w[q]
+        for piv, row in basis.items():
+            f = row[q]
+            basis[piv] = [_zdiv_exact(_zsub(_zmul(p, x), _zmul(f, y)), d)
+                          for x, y in zip(row, w)]
+        basis[q] = w
+        d = p
+        return True
+
+    def product(g, b):
+        return _primitive(_zmatmul(g, b, n, n, n))
+
+    ident = [(int(i == j), 0) for i in range(n) for j in range(n)]
+    zgens = [_clear_denominators(g.entries)[1] for g in gens]
+    return _algebra_spans(ident, zgens, n, product, add)
+
+
+def _primitive(vec):
+    """vec, a list of Z[i] pairs, divided by the gcd of all its components."""
+    # A loop, not gcd(*...): see _clear_denominators.
+    c = 0
+    for a, b in vec:
+        c = math.gcd(c, a, b)
+        if c == 1:
+            break
+    if c <= 1:
+        return vec
+    return [(a // c, b // c) for a, b in vec]
 
 
 def irreducible_test(t: MatrixTuple) -> bool:
@@ -434,41 +512,10 @@ def irreducible_test(t: MatrixTuple) -> bool:
     The span is computed over Q(i); its dimension is stable under field
     extension, so the test decides absolute irreducibility.  A modular
     closure decides the (common) spanning case quickly; anything else is
-    settled by the exact elimination below.
+    settled by the exact closure over Z[i].
     """
-    n = t.n
     gens = [m for m in t.all_coefficients() if not m.is_zero()]
-    if _irreducible_modp(gens, n):
-        return True
-    basis = {}  # pivot index -> reduced row (tuple of GaussRat)
-
-    def reduce_and_add(vec):
-        vec = list(vec)
-        for piv in sorted(basis):
-            if vec[piv]:
-                f = vec[piv]
-                row = basis[piv]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        for idx, x in enumerate(vec):
-            if x:
-                inv = x.inverse()
-                basis[idx] = tuple(inv * y for y in vec)
-                return True
-        return False
-
-    frontier = [ExactMatrix.identity(n)]
-    reduce_and_add(frontier[0].entries)
-    while frontier:
-        new_frontier = []
-        for g in gens:
-            for b in frontier:
-                cand = g * b
-                if reduce_and_add(cand.entries):
-                    new_frontier.append(cand)
-        frontier = new_frontier
-        if len(basis) == n * n:
-            return True
-    return len(basis) == n * n
+    return bool(_irreducible_modp(gens, t.n)) or _irreducible_exact(gens, t.n)
 
 
 def addition_op(t: MatrixTuple, pole: int, q_coeffs, compensate=False) -> MatrixTuple:

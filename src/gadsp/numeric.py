@@ -3,9 +3,12 @@
 Every quantity in this package (eigenvalues, polynomial-part coefficients,
 matrix entries) lives in Q(i), so equality, rank and kernel questions are
 decidable and all downstream certificates are reproducible bit for bit.
-Rank uses fraction-free (Bareiss) elimination over the Gaussian integers
-after clearing denominators; pivoting always takes the first nonzero entry,
-never a magnitude heuristic.
+Matrices store GaussRat entries, but products, rank and reduced row echelon
+forms are computed over the Gaussian integers Z[i] after clearing
+denominators, and converted back only at the end.  Products take integer
+dot products; rank and RREF share one fraction-free (Bareiss) Gauss-Jordan
+elimination, whose pivoting always takes the first nonzero entry, never a
+magnitude heuristic.
 
 Eigenvalues are the roots in Q(i) of the characteristic polynomial, found
 exactly in plain Python by modular root finding and Hensel lifting (von zur
@@ -333,24 +336,12 @@ class ExactMatrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        n, m, k = self.rows, other.cols, self.cols
-        out = []
-        oe = other.entries
-        for i in range(n):
-            base = i * k
-            for j in range(m):
-                acc = ZERO
-                for t in range(k):
-                    a = self.entries[base + t]
-                    if a:
-                        acc = acc + a * oe[t * m + j]
-                out.append(acc)
-        return ExactMatrix(n, m, out)
-
-    def transpose(self):
-        return ExactMatrix(self.cols, self.rows,
-                           [self.entry(i, j) for j in range(self.cols)
-                            for i in range(self.rows)])
+        da, a = _clear_denominators(self.entries)
+        db, b = _clear_denominators(other.entries)
+        d = da * db
+        return ExactMatrix(self.rows, other.cols,
+                           [_gauss_over(re, im, d) for re, im in
+                            _zmatmul(a, b, self.rows, self.cols, other.cols)])
 
     def trace(self):
         if self.rows != self.cols:
@@ -367,14 +358,6 @@ class ExactMatrix:
         return ExactMatrix(r1 - r0, c1 - c0,
                            [self.entry(i, j) for i in range(r0, r1)
                             for j in range(c0, c1)])
-
-    def power(self, k):
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        acc = ExactMatrix.identity(self.rows)
-        for _ in range(k):
-            acc = acc * self
-        return acc
 
     def add_scalar(self, c):
         """self + c * identity."""
@@ -418,11 +401,36 @@ def block_diag(blocks):
 
 
 # ---------------------------------------------------------------------------
-# rank: fraction-free Bareiss elimination over the Gaussian integers
+# Gaussian-integer kernels: denominators cleared, (re, im) int pairs inside
+
+
+def _clear_denominators(entries):
+    """(d, [(re, im), ...]): d the lcm of the denominators of the GaussRat
+    entries, and each entry times d as a pair of ints."""
+    # The distinct denominators are few.  Passing all of them as arguments
+    # would build a tuple of 2*len(entries) per call, and CPython keeps up
+    # to 2000 freed tuples of each size below 20, which raised peak memory.
+    d = math.lcm(*{part.denominator for x in entries for part in (x.re, x.im)})
+    return d, [(x.re.numerator * (d // x.re.denominator),
+                x.im.numerator * (d // x.im.denominator)) for x in entries]
+
+
+def _gauss_over(re, im, d):
+    """The GaussRat (re + im i) / d, for ints re, im and d != 0."""
+    if not (re or im):
+        return ZERO
+    g = object.__new__(GaussRat)
+    object.__setattr__(g, "re", Fraction(re, d))
+    object.__setattr__(g, "im", Fraction(im, d))
+    return g
 
 
 def _zmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _zsub(a, b):
+    return (a[0] - b[0], a[1] - b[1])
 
 
 def _zdiv_exact(a, b):
@@ -435,49 +443,62 @@ def _zdiv_exact(a, b):
     return (re // n, im // n)
 
 
-def mat_rank(m: ExactMatrix) -> int:
-    """Exact rank over Q(i); Bareiss on denominator-cleared rows, first-nonzero pivoting."""
-    work = []
-    for i in range(m.rows):
-        row = m.row_list(i)
-        lcm = 1
-        for x in row:
-            lcm = lcm * x.re.denominator // _gcd(lcm, x.re.denominator)
-            lcm = lcm * x.im.denominator // _gcd(lcm, x.im.denominator)
-        work.append([(int(x.re * lcm), int(x.im * lcm)) for x in row])
+def _zmatmul(a, b, n, k, m):
+    """Product of the flat row-major Z[i] matrices a (n x k) and b (k x m);
+    the dot products run over the nonzero entries of each row of a."""
+    cols = [b[j::m] for j in range(m)]
+    out = []
+    for i in range(n):
+        row = [(t, x, y) for t, (x, y) in enumerate(a[i * k:(i + 1) * k]) if x or y]
+        for col in cols:
+            re = im = 0
+            for t, x, y in row:
+                u, v = col[t]
+                re += x * u - y * v
+                im += x * v + y * u
+            out.append((re, im))
+    return out
+
+
+def _echelon(m: ExactMatrix):
+    """Fraction-free Gauss-Jordan elimination of m over Z[i].
+
+    Each row is cleared of denominators first, which leaves the reduced row
+    echelon form as it is.  Returns (rows, pivots, p): rows[r] / p is row r
+    of the RREF.  At the pivot p in row r every other row becomes
+    (p row_i - f row_r) / p_prev, f its entry in the pivot column; the
+    entries stay minors of the cleared matrix, so the division is exact
+    (Bareiss, Math. Comp. 1968), and every earlier pivot becomes p.
+    Pivoting takes the first nonzero entry.
+    """
     rows, cols = m.rows, m.cols
-    rank = 0
+    work = [_clear_denominators(m.entries[i * cols:(i + 1) * cols])[1]
+            for i in range(rows)]
+    pivots = []
     prev = (1, 0)
-    r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if work[i][c] != (0, 0):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            work[r], work[pivot_row] = work[pivot_row], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                num0 = _zmul(work[i][j], piv)
-                num1 = _zmul(work[i][c], work[r][j])
-                work[i][j] = _zdiv_exact((num0[0] - num1[0], num0[1] - num1[1]), prev)
-            work[i][c] = (0, 0)
-        prev = piv
-        rank += 1
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
-    return rank
+        pivot_row = next((i for i in range(r, rows) if work[i][c] != (0, 0)), None)
+        if pivot_row is None:
+            continue
+        work[r], work[pivot_row] = work[pivot_row], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i in range(rows):
+            if i != r:
+                f = work[i][c]
+                work[i] = [_zdiv_exact(_zsub(_zmul(p, x), _zmul(f, y)), prev)
+                           for x, y in zip(work[i], prow)]
+        pivots.append(c)
+        prev = p
+    return work, pivots, prev
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a if a else 1
+def mat_rank(m: ExactMatrix) -> int:
+    """Exact rank over Q(i): the pivot count of the fraction-free elimination."""
+    return len(_echelon(m)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -486,29 +507,9 @@ def _gcd(a, b):
 
 def rref(m: ExactMatrix):
     """Return (rref rows as lists, pivot column list); first-nonzero pivoting."""
-    rows = [m.row_list(i) for i in range(m.rows)]
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for i in range(m.rows):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == m.rows:
-            break
-    return rows, pivots
+    work, pivots, p = _echelon(m)
+    pc, n = _zconj(p), _znorm(p)
+    return [[_gauss_over(*_zmul(z, pc), n) for z in row] for row in work], pivots
 
 
 def mat_kernel(m: ExactMatrix):
@@ -615,29 +616,17 @@ def char_poly(m: ExactMatrix):
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    d = math.lcm(*(part.denominator for x in m.entries for part in (x.re, x.im)))
-    a = [[(x.re.numerator * (d // x.re.denominator),
-           x.im.numerator * (d // x.im.denominator)) for x in m.row_list(i)]
-         for i in range(n)]
+    d, a = _clear_denominators(m.entries)
     coeffs = [ONE]
-    mk = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    mk = [(int(i == j), 0) for i in range(n) for j in range(n)]
     for k in range(1, n + 1):
-        cols = list(zip(*mk))
-        mk = [[_zdot(row, col) for col in cols] for row in a]
-        tr = (sum(mk[i][i][0] for i in range(n)), sum(mk[i][i][1] for i in range(n)))
+        mk = _zmatmul(a, mk, n, n, n)
+        tr = (sum(z[0] for z in mk[::n + 1]), sum(z[1] for z in mk[::n + 1]))
         ck = _zdiv_exact((-tr[0], -tr[1]), (k, 0))
         coeffs.append(GaussRat(Fraction(ck[0], d ** k), Fraction(ck[1], d ** k)))
-        for i in range(n):
-            mk[i][i] = (mk[i][i][0] + ck[0], mk[i][i][1] + ck[1])
+        for i in range(0, n * n, n + 1):
+            mk[i] = (mk[i][0] + ck[0], mk[i][1] + ck[1])
     return coeffs
-
-
-def _zdot(u, v):
-    re = im = 0
-    for (a, b), (c, e) in zip(u, v):
-        re += a * c - b * e
-        im += a * e + b * c
-    return re, im
 
 
 def qi_roots(coeffs):

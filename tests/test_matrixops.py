@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gadsp.builder import build_instance
 from gadsp.gensamples import (
@@ -13,6 +14,8 @@ from gadsp.gensamples import (
 )
 from gadsp.matrixops import (
     MatrixTuple,
+    _irreducible_exact,
+    _irreducible_modp,
     core_class_value,
     OrbitMismatchError,
     ResidueSumError,
@@ -125,6 +128,99 @@ def test_irreducible_examples():
     assert not irreducible_test(t2)
     one = MatrixTuple(1, (1,), ((ExactMatrix.zeros(1),),))
     assert irreducible_test(one)
+
+
+def reference_closure_spans(gens, n):
+    """The Burnside closure in GaussRat arithmetic, the reference for the
+    exact closure over Z[i]."""
+    basis = {}
+
+    def reduce_and_add(vec):
+        vec = list(vec)
+        for piv in sorted(basis):
+            if vec[piv]:
+                f = vec[piv]
+                vec = [x - f * y for x, y in zip(vec, basis[piv])]
+        for idx, x in enumerate(vec):
+            if x:
+                inv = x.inverse()
+                basis[idx] = tuple(inv * y for y in vec)
+                return True
+        return False
+
+    frontier = [ExactMatrix.identity(n)]
+    reduce_and_add(frontier[0].entries)
+    while frontier and len(basis) < n * n:
+        new_frontier = []
+        for g in gens:
+            for b in frontier:
+                cand = g * b
+                if reduce_and_add(cand.entries):
+                    new_frontier.append(cand)
+        frontier = new_frontier
+    return len(basis) == n * n
+
+
+closure_entries = st.one_of(
+    st.just(ZERO), st.just(ZERO),
+    st.builds(GaussRat, st.integers(-2, 2), st.integers(-1, 1)),
+    st.builds(GaussRat, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 2 ** 40)),
+              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))),
+)
+
+
+@st.composite
+def generator_sets(draw):
+    """(gens, n): a few n x n matrices, sharing an invariant subspace when
+    `split` is set."""
+    n = draw(st.integers(1, 4))
+    split = draw(st.integers(0, n - 1))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        e = draw(st.lists(closure_entries, min_size=n * n, max_size=n * n))
+        if split:
+            e = [ZERO if i >= split > j else e[i * n + j] for i in range(n) for j in range(n)]
+        gens.append(ExactMatrix(n, n, e))
+    return gens, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(generator_sets())
+def test_exact_closure_matches_reference(case):
+    gens, n = case
+    gens = [g for g in gens if not g.is_zero()]
+    expected = reference_closure_spans(gens, n)
+    assert _irreducible_exact(gens, n) == expected
+    assert irreducible_test(MatrixTuple(n, (len(gens),), (tuple(gens),))) == expected
+
+
+def test_irreducible_exact_path_reducible_block_triangular():
+    # Blocks 3 + 2: every generator maps span(e1, e2, e3) into itself, so the
+    # modular closure cannot span and the exact closure must answer False.
+    rng = random.Random(7)
+    dens = (1, 2, 3, 7, 2 ** 40)
+
+    def entry():
+        return GaussRat(Fraction(rng.randint(-5, 5), rng.choice(dens)),
+                        Fraction(rng.randint(-5, 5), rng.choice(dens)))
+
+    gens = [ExactMatrix.from_rows([[entry() if i < 3 or j >= 3 else 0 for j in range(5)]
+                                   for i in range(5)]) for _ in range(3)]
+    assert len({x.re.denominator for g in gens for x in g.entries}) > 2
+    t = MatrixTuple(5, (2, 1), ((gens[0], gens[1]), (gens[2],)))
+    assert _irreducible_modp(gens, 5) is None
+    assert irreducible_test(t) is False
+
+
+def test_irreducible_exact_path_when_modp_gives_up():
+    # 1/(2p) has no image mod p = 1000000009, so only the exact closure can
+    # answer; e12 and e21 alone already generate all 2 x 2 matrices.
+    e12 = ExactMatrix.from_rows([[0, 1], [0, 0]])
+    e21 = ExactMatrix.from_rows([[0, 0], [1, 0]])
+    odd = ExactMatrix.from_rows([[GaussRat(Fraction(1, 2 * 1000000009), 1), 0], [0, 3]])
+    t = MatrixTuple(2, (1, 2), ((odd,), (e12, e21)))
+    assert _irreducible_modp([odd, e12, e21], 2) is None
+    assert irreducible_test(t) is True
 
 
 def test_addition_identity_and_compensation():

@@ -21,6 +21,7 @@ from gadsp.numeric import (
     mat_rank,
     qi_eigenvalues,
     qi_roots,
+    rref,
     solve_sylvester,
 )
 
@@ -175,6 +176,127 @@ small_fractions = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
     min_size=n * n, max_size=n * n).map(lambda e: ExactMatrix(n, n, e))))
 def test_char_poly_matches_reference(m):
     assert char_poly(m) == reference_char_poly(m)
+
+
+def reference_matmul(a, b):
+    """The GaussRat product loop, the reference for ExactMatrix.__mul__."""
+    n, m, k = a.rows, b.cols, a.cols
+    out = []
+    for i in range(n):
+        for j in range(m):
+            acc = GaussRat(0)
+            for t in range(k):
+                x = a.entries[i * k + t]
+                if x:
+                    acc = acc + x * b.entries[t * m + j]
+            out.append(acc)
+    return ExactMatrix(n, m, out)
+
+
+def reference_rref(m):
+    """Gauss-Jordan in GaussRat arithmetic, the reference for rref."""
+    rows = [m.row_list(i) for i in range(m.rows)]
+    pivots = []
+    r = 0
+    for c in range(m.cols):
+        pivot_row = next((i for i in range(r, m.rows) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.rows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.rows:
+            break
+    return rows, pivots
+
+
+wide_fractions = st.builds(Fraction, st.integers(-2 ** 20, 2 ** 20), st.integers(1, 2 ** 40))
+entries = st.one_of(
+    st.just(GaussRat(0)),
+    st.builds(GaussRat, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(GaussRat, small_fractions, small_fractions),
+    st.builds(GaussRat, wide_fractions, wide_fractions),
+)
+
+
+@st.composite
+def structured_matrices(draw, rows=None, cols=None):
+    """Matrices with zero, repeated and dependent rows and zero columns."""
+    r = draw(st.integers(0, 5)) if rows is None else rows
+    c = draw(st.integers(0, 5)) if cols is None else cols
+    out = []
+    for _ in range(r):
+        kind = draw(st.sampled_from(("entries", "zero", "copy", "combination")))
+        if kind == "entries" or not out:
+            row = draw(st.lists(entries, min_size=c, max_size=c))
+        elif kind == "zero":
+            row = [GaussRat(0)] * c
+        elif kind == "copy":
+            row = list(draw(st.sampled_from(out)))
+        else:
+            u, v = draw(st.sampled_from(out)), draw(st.sampled_from(out))
+            s, t = draw(entries), draw(entries)
+            row = [s * x + t * y for x, y in zip(u, v)]
+        out.append(row)
+    for j in draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c)):
+        for row in out:
+            row[j] = GaussRat(0)
+    return ExactMatrix(r, c, [x for row in out for x in row])
+
+
+@st.composite
+def matrix_pairs(draw):
+    n, k, m = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return draw(structured_matrices(n, k)), draw(structured_matrices(k, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrix_pairs())
+def test_product_matches_reference(pair):
+    a, b = pair
+    assert a * b == reference_matmul(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structured_matrices())
+def test_rref_and_rank_match_reference(m):
+    expected = reference_rref(m)
+    assert rref(m) == expected
+    assert mat_rank(m) == len(expected[1])
+
+
+def test_rref_with_non_real_pivots():
+    # The leading 1x1 and 2x2 minors, 1+2i and -7+6i, are not real, so the
+    # second and third elimination steps divide by non-real pivots.
+    m = ExactMatrix.from_rows([
+        [GaussRat(1, 2), 3, GaussRat(0, 1), GaussRat(Fraction(1, 3))],
+        [GaussRat(2, -1), GaussRat(1, 1), 4, GaussRat(0, Fraction(-2, 5))],
+        [GaussRat(0, 3), 2, GaussRat(1, -3), 7],
+    ])
+    assert m.entry(0, 0) * m.entry(1, 1) - m.entry(0, 1) * m.entry(1, 0) == GaussRat(-7, 6)
+    expected = reference_rref(m)
+    assert rref(m) == expected
+    assert expected[1] == [0, 1, 2]
+    assert mat_rank(m) == 3
+
+
+def test_shapes_without_entries():
+    for r, c in ((0, 3), (3, 0), (0, 0)):
+        m = ExactMatrix(r, c, [])
+        assert rref(m) == ([[] for _ in range(r)], [])
+        assert mat_rank(m) == 0
+    a, b = ExactMatrix(2, 0, []), ExactMatrix(0, 3, [])
+    assert a * b == ExactMatrix.zeros(2, 3)
+    assert b * ExactMatrix.zeros(3, 1) == ExactMatrix(0, 1, [])
+    one = ExactMatrix.from_rows([[GaussRat(Fraction(2, 3), -1)]])
+    assert one * one == ExactMatrix.from_rows([[GaussRat(Fraction(-5, 9), Fraction(-4, 3))]])
+    assert rref(one) == ([[GaussRat(1)]], [0])
 
 
 def test_non_split_detection():
