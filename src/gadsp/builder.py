@@ -154,6 +154,23 @@ def lattice_member(inst: QuiverInstance, beta) -> bool:
     return True
 
 
+def lattice_test(inst: QuiverInstance):
+    """The predicate beta -> lattice_member(inst, beta), with the block
+    indices looked up once.  With no irregular pole besides infinity every
+    vector is in the lattice."""
+    q = inst.quiver
+    levels = [[q.index((i, j)) for j in range(1, inst.m(i) + 1)]
+              for i in [0] + sorted(inst.i_irr - {0})]
+    if len(levels) == 1:
+        return lambda beta: True
+    first, rest = levels[0], levels[1:]
+
+    def in_lattice(beta) -> bool:
+        level0 = sum(beta[k] for k in first)
+        return all(sum(beta[k] for k in ks) == level0 for ks in rest)
+    return in_lattice
+
+
 def perm_xi(inst: QuiverInstance, vertex, s: int) -> QuiverInstance:
     """Swap xi_s and xi_{s+1} at block `vertex`, rebuilding the instance.
 

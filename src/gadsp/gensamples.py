@@ -177,15 +177,6 @@ def random_gauge(rng, n, order, pool=POOL):
     return gauge
 
 
-def random_unipotent_gauge(rng, n, order, pool=POOL):
-    gauge = [ExactMatrix.identity(n)]
-    small = (GaussRat(0), GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(0, 1))
-    for _ in range(order - 1):
-        gauge.append(ExactMatrix.from_rows(
-            [[pick(rng, small) for _ in range(n)] for _ in range(n)]))
-    return gauge
-
-
 def random_htl_form(rng, n, order, pool=POOL) -> HtlForm:
     """A random normal form with the canonical block order."""
     if order == 1:

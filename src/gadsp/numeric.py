@@ -296,9 +296,6 @@ class ExactMatrix:
     def row_list(self, i):
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def to_rows(self):
-        return [self.row_list(i) for i in range(self.rows)]
-
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -544,11 +541,15 @@ def solve_general(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
+    """m^-1 from one elimination of [m | I]: m is invertible exactly when
+    the pivots are the first n columns, and then the right half is m^-1."""
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
-    if mat_rank(m) != m.rows:
+    n = m.rows
+    rows, pivots = rref(hstack([m, ExactMatrix.identity(n)]))
+    if pivots != list(range(n)):
         raise SingularOperatorError("matrix is singular")
-    return solve_general(m, ExactMatrix.identity(m.rows))
+    return ExactMatrix(n, n, [x for row in rows for x in row[n:]])
 
 
 def column_space_basis(m: ExactMatrix) -> ExactMatrix:

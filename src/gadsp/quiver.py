@@ -23,19 +23,24 @@ class Quiver:
 
     _index: dict = field(init=False, repr=False, compare=False)
     _nbrs: tuple = field(init=False, repr=False, compare=False)
+    _arrow_idx: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = {v: i for i, v in enumerate(self.vertices)}
         if len(idx) != len(self.vertices):
             raise ValueError("duplicate vertices")
         nbrs = [[] for _ in self.vertices]
+        arrow_idx = []
         for s, t in self.arrows:
             if s == t:
                 raise ValueError("loops are not allowed")
-            nbrs[idx[s]].append(idx[t])
-            nbrs[idx[t]].append(idx[s])
+            si, ti = idx[s], idx[t]
+            nbrs[si].append(ti)
+            nbrs[ti].append(si)
+            arrow_idx.append((si, ti))
         object.__setattr__(self, "_index", idx)
         object.__setattr__(self, "_nbrs", tuple(tuple(n) for n in nbrs))
+        object.__setattr__(self, "_arrow_idx", tuple(arrow_idx))
 
     def __len__(self):
         return len(self.vertices)
@@ -51,8 +56,9 @@ class Quiver:
         """Neighbor vertex indices, one entry per adjacent arrow (multiplicity)."""
         return self._nbrs[vidx]
 
-    def arrow_indices(self):
-        return [(self.index(s), self.index(t)) for s, t in self.arrows]
+    def arrow_indices(self) -> tuple:
+        """(source index, target index) per arrow, in arrow order."""
+        return self._arrow_idx
 
     def support_connected(self, beta) -> bool:
         supp = [i for i, b in enumerate(beta) if b]

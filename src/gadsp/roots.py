@@ -7,6 +7,14 @@ any positive root to a simple root or fundamental-set element stays inside
 every componentwise box containing the root.  Closing the seeds (simple
 roots and boxed fundamental-set members) under box-preserving reflections
 therefore yields every positive root below the bound.
+
+The closure carries each root's pairings (beta, eps_j) with it.  Reflecting
+at vertex i with c = (beta, eps_i) gives
+
+    (s_i beta, eps_j) = (beta, eps_j) - c (eps_i, eps_j),
+
+so entry i becomes -c, each neighbor j of i gains c once per arrow between
+them, and every other entry is unchanged.
 """
 
 from __future__ import annotations
@@ -14,10 +22,11 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .builder import QuiverInstance, lattice_member
+from .builder import QuiverInstance, lattice_member, lattice_test
 from .quiver import (
     Quiver,
-    dot,
+    dot,  # noqa: F401 -- perfbench/tracer.py times calls made through roots.dot
+    orthogonality_test,
     pair_with_unit,
     reflect_dim,
     sym_form,
@@ -177,30 +186,36 @@ def fundamental_in_box(q: Quiver, bound, budget=None):
 
 
 def positive_roots_in_box(q: Quiver, bound, budget=None):
-    """Map beta -> "real" | "imaginary" over all positive roots beta <= bound."""
+    """Map beta -> "real" | "imaginary" over all positive roots beta <= bound.
+
+    Each dequeued root costs one unit of work per vertex, charged to
+    `budget` before its reflections are tried.
+    """
     if budget is None:
         budget = [DEFAULT_WORK_CAP]
     nv = len(q.vertices)
+    nbrs = [q.neighbors(i) for i in range(nv)]
     found = {}
     queue = deque()
+
+    def seed(beta, kind):
+        found[beta] = kind
+        queue.append((beta, [pair_with_unit(q, beta, i) for i in range(nv)]))
+
     for i in range(nv):
         if bound[i] >= 1:
-            unit = tuple(1 if k == i else 0 for k in range(nv))
-            found[unit] = "real"
-            queue.append(unit)
+            seed(tuple(1 if k == i else 0 for k in range(nv)), "real")
     for beta in fundamental_in_box(q, bound, budget):
         if beta not in found:
-            found[beta] = "imaginary"
-            queue.append(beta)
+            seed(beta, "imaginary")
     while queue:
-        beta = queue.popleft()
+        beta, pairing = queue.popleft()
+        budget[0] -= nv
+        if budget[0] < 0:
+            raise SearchCapExceeded("root closure budget exhausted")
         kind = found[beta]
-        for idx in range(nv):
-            budget[0] -= 1
-            if budget[0] < 0:
-                raise SearchCapExceeded("root closure budget exhausted")
-            c = pair_with_unit(q, beta, idx)
-            if c == 0:
+        for idx, c in enumerate(pairing):
+            if not c:
                 continue
             nb = beta[idx] - c
             if nb < 0 or nb > bound[idx]:
@@ -208,7 +223,11 @@ def positive_roots_in_box(q: Quiver, bound, budget=None):
             new = beta[:idx] + (nb,) + beta[idx + 1:]
             if new not in found:
                 found[new] = kind
-                queue.append(new)
+                moved = pairing[:]
+                moved[idx] = -c
+                for w in nbrs[idx]:
+                    moved[w] += c
+                queue.append((new, moved))
     return found
 
 
@@ -230,8 +249,8 @@ def enum_constrained_roots(inst: QuiverInstance, bound, lam,
         raise SearchCapExceeded("root box volume above configured limit")
     budget = [work_cap]
     roots = positive_roots_in_box(inst.quiver, bound, budget)
-    picked = [beta for beta in roots
-              if lattice_member(inst, beta) and not dot(beta, lam)]
+    in_lattice, orthogonal = lattice_test(inst), orthogonality_test(lam)
+    picked = [beta for beta in roots if in_lattice(beta) and orthogonal(beta)]
     picked.sort(key=lambda b: (sum(b), b))
     return picked
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le, sub
 
-from .builder import QuiverInstance, lattice_member
+from .builder import QuiverInstance, lattice_member, lattice_test
 from .numeric import GaussRat
 from .quiver import (
     Quiver,
@@ -70,28 +70,52 @@ class Verdict:
         return self.solvable
 
 
+# The root table of the last (quiver, alpha) enumerated, with the work its
+# build consumed: ((quiver, alpha), table, work), or None.  Both memberships
+# of one instance share it; only one table is kept alive.
+_last_table = None
+
+
+def _root_table(q: Quiver, alpha, work_cap):
+    """positive_roots_in_box(q, alpha) under a budget of work_cap.
+
+    A build trips the cap exactly when work_cap is below the work the full
+    build consumes, so a stored table is reused only when work_cap covers
+    its recorded work; otherwise the table is rebuilt and raises as a fresh
+    build does.  Callers must not modify the table.
+    """
+    global _last_table
+    key, memo = (q, alpha), _last_table
+    if memo is not None and memo[0] == key and memo[2] <= work_cap:
+        return memo[1]
+    _last_table = None
+    budget = [work_cap]
+    table = positive_roots_in_box(q, alpha, budget)
+    _last_table = (key, table, work_cap - budget[0])
+    return table
+
+
 def _decomposition_candidates(q: Quiver, alpha, lam, lattice_filter,
                               box_cap, work_cap):
+    """The proper orthogonal candidate parts of alpha, as a dict from each
+    part to its p-value, ordered by decreasing p-value, then
+    lexicographically: the first optimal decomposition found is canonical."""
     if box_volume(alpha) > box_cap:
         raise SearchCapExceeded("decomposition box volume above configured limit")
-    budget = [work_cap]
-    roots = positive_roots_in_box(q, alpha, budget)
     alpha = tuple(alpha)
+    roots = _root_table(q, alpha, work_cap)
     picked = [beta for beta in roots if beta != alpha]
     if lattice_filter is not None:
         picked = list(filter(lattice_filter, picked))
     if picked:
         picked = list(filter(orthogonality_test(lam), picked))
-    # Candidates sorted by decreasing p-value, then lexicographically: the
-    # first optimal decomposition found is canonical.
-    def key(beta):
-        return (-tits(q, beta)[1], beta)
-    picked.sort(key=key)
-    return picked
+    keyed = sorted((-tits(q, beta)[1], beta) for beta in picked)
+    return {beta: -neg_p for neg_p, beta in keyed}
 
 
-def _best_decomposition(q: Quiver, alpha, candidates, node_cap):
-    """Maximize the p-value sum over multiset decompositions of alpha.
+def _best_decomposition(alpha, p_of, node_cap):
+    """Maximize the p-value sum over multiset decompositions of alpha into
+    the candidates, the keys of `p_of`, which maps each one to its p-value.
 
     Returns (best sum, parts tuple, nodes visited); best is None when alpha
     has no decomposition into candidates at all.
@@ -105,9 +129,8 @@ def _best_decomposition(q: Quiver, alpha, candidates, node_cap):
     interpreter's recursion limit.
     """
     alpha = tuple(alpha)
-    p_of = {c: tits(q, c)[1] for c in candidates}
     groups = [[] for _ in alpha]
-    for c in candidates:
+    for c in p_of:
         groups[next(i for i, x in enumerate(c) if x)].append(c)
     zero = (0,) * len(alpha)
     memo = {zero: (0, None)}   # remainder -> (best sum, first part)
@@ -165,13 +188,13 @@ def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap, box_cap,
     candidates = _decomposition_candidates(q, alpha, lam, lattice_filter,
                                            box_cap, work_cap)
     p_alpha = tits(q, alpha)[1]
-    best, parts, nodes = _best_decomposition(q, alpha, candidates, node_cap)
+    best, parts, nodes = _best_decomposition(alpha, candidates, node_cap)
     if best is not None and best >= p_alpha:
         reasons.append(
             "FAIL: decomposition into %d orthogonal%s roots has p-sum %d >= p(alpha) = %d"
             % (len(parts), lattice_label, best, p_alpha))
         cert = ViolatingDecomposition(parts,
-                                      tuple(tits(q, c)[1] for c in parts),
+                                      tuple(candidates[c] for c in parts),
                                       p_alpha)
         return Verdict(False, tuple(reasons), cert)
     reasons.append("pass: every proper orthogonal%s decomposition has p-sum < p(alpha) = %d"
@@ -192,8 +215,7 @@ def sigma_tilde_member(inst: QuiverInstance, node_cap=DEFAULT_NODE_CAP,
                        box_cap=DEFAULT_BOX_VOLUME_CAP,
                        work_cap=DEFAULT_WORK_CAP) -> Verdict:
     """Lattice-restricted membership; this is the solvability criterion."""
-    return _membership(inst.quiver, inst.alpha, inst.lam,
-                       lambda beta: lattice_member(inst, beta),
+    return _membership(inst.quiver, inst.alpha, inst.lam, lattice_test(inst),
                        node_cap, box_cap, work_cap, lattice_label=" lattice")
 
 

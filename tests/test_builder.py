@@ -6,6 +6,7 @@ from gadsp.builder import (
     alpha_dot_lambda,
     build_instance,
     lattice_member,
+    lattice_test,
     perm_xi,
     predict_perm_xi,
     shift_vector,
@@ -95,6 +96,22 @@ def test_alpha_in_lattice_and_connected():
         assert inst.quiver.support_connected(
             tuple(1 for _ in inst.quiver.vertices))
         assert alpha_dot_lambda(inst) == GaussRat(0)
+
+
+def test_lattice_test_matches_lattice_member():
+    several = 0
+    for rng, inst in _instances(5, 30):
+        in_lattice = lattice_test(inst)
+        several += len(inst.i_irr) > 1
+        vectors = [inst.alpha] + [inst.quiver.unit(v) for v in inst.quiver.vertices]
+        vectors += [tuple(rng.randint(0, 3) for _ in inst.quiver.vertices)
+                    for _ in range(20)]
+        vectors += [random_lattice_vector(rng, inst) for _ in range(5)]
+        for beta in vectors:
+            assert in_lattice(beta) == lattice_member(inst, beta)
+        if len(inst.i_irr) == 1:
+            assert all(in_lattice(beta) for beta in vectors)
+    assert several
 
 
 def test_lattice_member_examples():

@@ -17,6 +17,7 @@ from gadsp.numeric import (
     char_poly,
     gauss_parse,
     I_UNIT,
+    invert,
     mat_kernel,
     mat_rank,
     qi_eigenvalues,
@@ -127,6 +128,35 @@ def test_sylvester_singular_spectra_intersect():
     a = ExactMatrix.from_rows([[1]])
     with pytest.raises(SingularOperatorError):
         solve_sylvester(a, a, a)
+
+
+def test_invert_singular_raises():
+    for rows in ([[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 0, 1], [1, 0, 1]],
+                 [[1, GaussRat(0, 1)], [GaussRat(0, 1), -1]]):
+        with pytest.raises(SingularOperatorError, match="^matrix is singular$"):
+            invert(ExactMatrix.from_rows(rows))
+    with pytest.raises(ValueError, match="non-square"):
+        invert(ExactMatrix.from_rows([[1, 2]]))
+
+
+def test_invert_inverts_or_raises():
+    rng = random.Random(12)
+    assert invert(ExactMatrix.zeros(0, 0)) == ExactMatrix.zeros(0, 0)
+    inverted = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        m = ExactMatrix.from_rows(
+            [[GaussRat(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                       rng.choice((0, 0, 1, -2))) for _ in range(n)]
+             for _ in range(n)])
+        if mat_rank(m) < n:
+            with pytest.raises(SingularOperatorError):
+                invert(m)
+            continue
+        inverted += 1
+        inv = invert(m)
+        assert inv * m == ExactMatrix.identity(n) == m * inv
+    assert inverted > 20
 
 
 def test_sylvester_exact_on_random_disjoint_spectra():

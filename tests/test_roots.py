@@ -1,16 +1,25 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from gadsp.builder import build_instance
+from gadsp.builder import build_instance, lattice_member
 from gadsp.gensamples import (
     random_instance_data,
     random_lattice_vector,
     random_multi_index,
 )
 from gadsp.numeric import GaussRat
-from gadsp.quiver import Quiver, composite_eps, dot, sym_form, tits
+from gadsp.quiver import (
+    Quiver,
+    composite_eps,
+    dot,
+    pair_with_unit,
+    sym_form,
+    tits,
+)
 from gadsp.roots import (
     SearchCapExceeded,
     classify_tame,
@@ -402,3 +411,96 @@ def test_witness_replays_for_all_boxed_roots():
             rc = is_root(q, beta)
             assert rc.kind == kind
             assert replay_witness(q, rc) == beta
+
+
+def reference_positive_roots_in_box(q, bound, budget):
+    """The closure as first written: every pairing recomputed from its
+    neighbors, one unit of work per vertex tried."""
+    nv = len(q.vertices)
+    found = {}
+    queue = deque()
+    for i in range(nv):
+        if bound[i] >= 1:
+            unit = tuple(1 if k == i else 0 for k in range(nv))
+            found[unit] = "real"
+            queue.append(unit)
+    for beta in fundamental_in_box(q, bound, budget):
+        if beta not in found:
+            found[beta] = "imaginary"
+            queue.append(beta)
+    while queue:
+        beta = queue.popleft()
+        kind = found[beta]
+        for idx in range(nv):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise SearchCapExceeded("root closure budget exhausted")
+            c = pair_with_unit(q, beta, idx)
+            if c == 0:
+                continue
+            nb = beta[idx] - c
+            if nb < 0 or nb > bound[idx]:
+                continue
+            new = beta[:idx] + (nb,) + beta[idx + 1:]
+            if new not in found:
+                found[new] = kind
+                queue.append(new)
+    return found
+
+
+def _closure_outcome(closure, q, bound, cap):
+    budget = [cap]
+    try:
+        table = closure(q, bound, budget)
+    except SearchCapExceeded as exc:
+        return "raised", str(exc)
+    return list(table.items()), budget[0]
+
+
+@st.composite
+def boxed_quivers(draw):
+    n = draw(st.integers(1, 5))
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=7)) if pairs else []
+    # parallel arrows: repeat some of the drawn ones
+    arrows += draw(st.lists(st.sampled_from(arrows), max_size=3)) if arrows else []
+    bound = tuple(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    return Quiver(tuple(range(n)), tuple(arrows)), bound
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_quivers(), st.integers(0, 4000))
+def test_closure_matches_reference(problem, cap):
+    q, bound = problem
+    # the same roots in the same order, the same work, and the same cap trips
+    full = _closure_outcome(positive_roots_in_box, q, bound, 10**7)
+    assert full == _closure_outcome(reference_positive_roots_in_box, q, bound,
+                                    10**7)
+    assert (_closure_outcome(positive_roots_in_box, q, bound, cap)
+            == _closure_outcome(reference_positive_roots_in_box, q, bound, cap))
+
+
+def test_closure_reaches_imaginary_and_zero_bounds():
+    # Kronecker quiver with a third vertex bounded by zero: the imaginary
+    # roots (m, m) appear and nothing leaves the zero coordinate.
+    q = Quiver(("a", "b", "c"), (("a", "b"), ("a", "b"), ("b", "c")))
+    bound = (3, 3, 0)
+    table = positive_roots_in_box(q, bound)
+    assert table == reference_positive_roots_in_box(q, bound, [10**7])
+    assert table[(1, 1, 0)] == table[(2, 2, 0)] == "imaginary"
+    assert table[(2, 1, 0)] == "real"
+    assert all(beta[2] == 0 for beta in table)
+
+
+def test_enum_constrained_roots_matches_pointwise_filter():
+    rng = random.Random(41)
+    for _ in range(12):
+        data = random_instance_data(rng, n=rng.randint(1, 3), p=rng.randint(1, 2))
+        data, _ = normalize(data)
+        inst = build_instance(data)
+        bound = tuple(min(a, 3) for a in inst.alpha)
+        expected = sorted(
+            (beta for beta in positive_roots_in_box(inst.quiver, bound)
+             if lattice_member(inst, beta) and not dot(beta, inst.lam)),
+            key=lambda b: (sum(b), b))
+        assert enum_constrained_roots(inst, bound, inst.lam) == expected

@@ -9,7 +9,8 @@ from gadsp.builder import add_shift, build_instance, perm_xi
 from gadsp.gensamples import random_fuchsian_data, random_instance_data
 from gadsp.numeric import GaussRat
 from gadsp.quiver import Quiver, tits
-from gadsp.roots import SearchCapExceeded
+from gadsp import sigma
+from gadsp.roots import SearchCapExceeded, fundamental_in_box, positive_roots_in_box
 from gadsp.serialize import parse_spectral
 from gadsp.sigma import (
     ExhaustiveWitness,
@@ -245,7 +246,8 @@ def test_best_decomposition_deep_remainder():
     # 1200 parts, deeper than the interpreter's default recursion limit;
     # each simple root has p-value 0.
     q = Quiver(("a", "b"), (("a", "b"),) * 2)
-    best, parts, nodes = _best_decomposition(q, (600, 600), [(1, 0), (0, 1)],
+    assert tits(q, (1, 0))[1] == tits(q, (0, 1))[1] == 0
+    best, parts, nodes = _best_decomposition((600, 600), {(1, 0): 0, (0, 1): 0},
                                              10**7)
     assert best == 0
     assert sorted(parts) == [(0, 1)] * 600 + [(1, 0)] * 600
@@ -272,7 +274,8 @@ def decomposition_problems(draw):
 @given(decomposition_problems())
 def test_best_decomposition_matches_reference(problem):
     q, alpha, candidates = problem
-    best, parts, _ = _best_decomposition(q, alpha, candidates, 10**7)
+    p_of = {c: tits(q, c)[1] for c in candidates}
+    best, parts, _ = _best_decomposition(alpha, p_of, 10**7)
     assert best == reference_best_decomposition(q, alpha, candidates)
     if best is None:
         assert parts == ()
@@ -280,3 +283,82 @@ def test_best_decomposition_matches_reference(problem):
         assert all(c in candidates for c in parts)
         assert tuple(map(sum, zip(*parts))) == alpha
         assert sum(tits(q, c)[1] for c in parts) == best
+
+
+# ---------------------------------------------------------------------------
+# the shared root table
+
+
+def _count_builds(monkeypatch):
+    """Start from an empty table and count the builds made through sigma."""
+    monkeypatch.setattr(sigma, "_last_table", None)
+    builds = []
+
+    def counting(q, bound, budget=None):
+        builds.append((q, tuple(bound)))
+        return positive_roots_in_box(q, bound, budget)
+    monkeypatch.setattr(sigma, "positive_roots_in_box", counting)
+    return builds
+
+
+def _cap_message(q, alpha, work_cap):
+    with pytest.raises(SearchCapExceeded) as info:
+        positive_roots_in_box(q, alpha, [work_cap])
+    return str(info.value)
+
+
+def test_both_memberships_share_one_table(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    inst = nonresonant_hypergeometric()
+    a = sigma_tilde_member(inst)
+    b = sigma_member(inst.quiver, inst.alpha, inst.lam)
+    assert builds == [(inst.quiver, inst.alpha)]
+    # the same verdicts as with no table kept between the calls
+    monkeypatch.setattr(sigma, "_last_table", None)
+    assert sigma_tilde_member(inst) == a
+    monkeypatch.setattr(sigma, "_last_table", None)
+    assert sigma_member(inst.quiver, inst.alpha, inst.lam) == b
+
+
+def test_table_hit_below_recorded_work_raises_as_fresh_build(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    inst = nonresonant_hypergeometric()
+    q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+    expected = sigma_member(q, alpha, lam)
+    work = sigma._last_table[2]
+    scan = [10**9]
+    fundamental_in_box(q, alpha, scan)
+    scan_work = 10**9 - scan[0]
+    assert 0 < scan_work < work
+    for cap in (work - 1, scan_work - 1):
+        message = _cap_message(q, alpha, cap)
+        sigma_member(q, alpha, lam)          # the table is stored again
+        with pytest.raises(SearchCapExceeded) as info:
+            sigma_member(q, alpha, lam, work_cap=cap)
+        assert str(info.value) == message
+        assert sigma._last_table is None     # a failed build stores nothing
+    assert {_cap_message(q, alpha, work - 1),
+            _cap_message(q, alpha, scan_work - 1)} == {
+        "root closure budget exhausted", "fundamental-set scan budget exhausted"}
+    # a cap equal to the recorded work is a hit
+    sigma_member(q, alpha, lam)
+    count = len(builds)
+    assert sigma_member(q, alpha, lam, work_cap=work) == expected
+    assert len(builds) == count
+
+
+def test_quivers_with_equal_alpha_never_share_a_table(monkeypatch):
+    builds = _count_builds(monkeypatch)
+    lam = (GaussRat(0), GaussRat(0))
+    a2 = Quiver(("a", "b"), (("a", "b"),))
+    kronecker = Quiver(("a", "b"), (("a", "b"),) * 2)
+    triple = Quiver(("a", "b"), (("a", "b"),) * 3)
+    alpha = (1, 1)
+    verdicts = [sigma_member(q, alpha, lam) for q in (a2, kronecker, triple)]
+    assert [q for q, _ in builds] == [a2, kronecker, triple]
+    for q in (a2, kronecker, triple):
+        table = sigma._root_table(q, alpha, 10**6)
+        assert table == positive_roots_in_box(q, alpha)
+    # (1, 1) is real for A2 and imaginary for two or more arrows; the
+    # simple roots decompose it with p-sum 0, at least p(alpha) only for A2
+    assert [v.solvable for v in verdicts] == [False, True, True]
