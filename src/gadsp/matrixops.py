@@ -19,11 +19,9 @@ from .numeric import (
     GaussRat,
     NonSplitError,
     ZERO,
+    _Echelon,
     _clear_denominators,
-    _zdiv_exact,
     _zmatmul,
-    _zmul,
-    _zsub,
     block_diag,
     column_space_basis,
     complete_basis,
@@ -450,46 +448,19 @@ def _irreducible_modp(gens, n):
 
 
 def _irreducible_exact(gens, n):
-    """The same closure over Z[i], exactly.
+    """The same closure over Z[i], exactly, with the span kept by the
+    fraction-free elimination kernel `numeric._Echelon`.
 
     Each generator is scaled by the common denominator of its entries; a
     nonzero scalar leaves the unital algebra unchanged, so every word stays
-    in Z[i].  Words are divided by their integer content.  The basis is kept
-    in fraction-free Gauss-Jordan form, every row d at its own pivot and 0 at
-    the other pivots: a word v reduces to d v minus its pivot entries times
-    the rows, and a new row w with pivot p at q turns every other row into
-    (p row - row[q] w) / d, exact as in Bareiss elimination.  So the entries
-    stay minors of the accepted words; reducing against rows that are only
-    made primitive lets them grow without bound.
+    in Z[i].  Words are divided by their integer content.
     """
-    basis = {}  # pivot index -> row
-    d = (1, 0)
-
-    def add(vec):
-        nonlocal d
-        w = [_zmul(d, x) for x in vec]
-        for piv, row in basis.items():
-            f = vec[piv]
-            if f != (0, 0):
-                w = [_zsub(x, _zmul(f, y)) for x, y in zip(w, row)]
-        q = next((idx for idx, z in enumerate(w) if z != (0, 0)), None)
-        if q is None:
-            return False
-        p = w[q]
-        for piv, row in basis.items():
-            f = row[q]
-            basis[piv] = [_zdiv_exact(_zsub(_zmul(p, x), _zmul(f, y)), d)
-                          for x, y in zip(row, w)]
-        basis[q] = w
-        d = p
-        return True
-
     def product(g, b):
         return _primitive(_zmatmul(g, b, n, n, n))
 
     ident = [(int(i == j), 0) for i in range(n) for j in range(n)]
     zgens = [_clear_denominators(g.entries)[1] for g in gens]
-    return _algebra_spans(ident, zgens, n, product, add)
+    return _algebra_spans(ident, zgens, n, product, _Echelon().add)
 
 
 def _primitive(vec):
@@ -760,20 +731,10 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
 
     # Undo the scalar shifts; the extra -2 xi_mi at infinity restores the
     # residue sum to zero.
-    restored = []
-    for i, (k, part) in enumerate(zip(t.orders, prelim.parts)):
-        blk = data.block(i, mi[i])
-        coeffs = blk.q_padded(k)
-        new = list(part)
-        new[0] = new[0].add_scalar(blk.xi[0])
-        if i == 0:
-            new[0] = new[0].add_scalar(-2 * xi_mi)
-        for deg in range(2, k + 1):
-            c = coeffs[deg - 2]
-            if c:
-                new[deg - 1] = new[deg - 1].add_scalar(c)
-        restored.append(tuple(new))
-    output = MatrixTuple(n_new, t.orders, tuple(restored))
+    restored = _scalar_shift_tuple(prelim, data, mi, 1)
+    inf = restored.parts[0]
+    output = MatrixTuple(n_new, t.orders, (
+        (inf[0].add_scalar(-2 * xi_mi),) + inf[1:],) + restored.parts[1:])
     output.check_residue_sum()
     return McResult(output, dim_w, n_shift, xi_new, tuple(predicted))
 
@@ -1041,7 +1002,7 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
             i, jp = tgt
             j = src[1]
             g_inv = invert(facts[i].g_const)   # = u_i[0]
-            x1g = t_res(parts, i) * facts[i].g_const
+            x1g = parts[i][0] * facts[i].g_const
             rt0, rt1 = ranges[i][jp - 1]
             cs0, cs1 = ranges[0][j - 1]
             psi[a] = g_inv.block(rt0, rt1, cs0, cs1)
@@ -1080,10 +1041,6 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
     rep = QuiverRep(tuple(dims), tuple(psi), tuple(psi_star))
     _check_rep_shapes(inst, rep)
     return rep, facts
-
-
-def t_res(parts, i):
-    return parts[i][0]
 
 
 def _parallel_index(arrows, a):
@@ -1157,9 +1114,3 @@ def generated_subrep_dims(inst: QuiverInstance, rep: QuiverRep, vertex, seed):
                     spaces[to] = new_basis
                     changed = True
     return tuple(sp.cols for sp in spaces)
-
-
-def quasi_irreducible(t: MatrixTuple) -> bool:
-    """Quasi-irreducibility of the representation of a tuple, decided on the
-    matrix side (the correspondence preserves it)."""
-    return irreducible_test(t)

@@ -3,12 +3,15 @@
 Every quantity in this package (eigenvalues, polynomial-part coefficients,
 matrix entries) lives in Q(i), so equality, rank and kernel questions are
 decidable and all downstream certificates are reproducible bit for bit.
-Matrices store GaussRat entries, but products, rank and reduced row echelon
-forms are computed over the Gaussian integers Z[i] after clearing
-denominators, and converted back only at the end.  Products take integer
-dot products; rank and RREF share one fraction-free (Bareiss) Gauss-Jordan
-elimination, whose pivoting always takes the first nonzero entry, never a
-magnitude heuristic.
+Matrices store GaussRat entries, but products and eliminations are computed
+over the Gaussian integers Z[i] after clearing denominators, and converted
+back only at the end.  Products take integer dot products.  Every
+elimination runs in one kernel, `_Echelon`: a fraction-free (Bareiss)
+Gauss-Jordan basis that takes one row at a time and says whether it was new.
+Rank, RREF, kernels, inverses and linear solves insert the rows of a matrix;
+basis completion inserts the columns and then the standard vectors; the
+exact Burnside closure in `matrixops` inserts the words it generates.  The
+pivot of a row is its first nonzero entry, never a magnitude heuristic.
 
 Eigenvalues are the roots in Q(i) of the characteristic polynomial, found
 exactly in plain Python by modular root finding and Hensel lifting (von zur
@@ -457,45 +460,63 @@ def _zmatmul(a, b, n, k, m):
     return out
 
 
-def _echelon(m: ExactMatrix):
-    """Fraction-free Gauss-Jordan elimination of m over Z[i].
+class _Echelon:
+    """Fraction-free Gauss-Jordan basis over Z[i], grown one row at a time.
 
-    Each row is cleared of denominators first, which leaves the reduced row
-    echelon form as it is.  Returns (rows, pivots, p): rows[r] / p is row r
-    of the RREF.  At the pivot p in row r every other row becomes
-    (p row_i - f row_r) / p_prev, f its entry in the pivot column; the
-    entries stay minors of the cleared matrix, so the division is exact
-    (Bareiss, Math. Comp. 1968), and every earlier pivot becomes p.
-    Pivoting takes the first nonzero entry.
+    `rows` maps each pivot index to its row, and every row equals the common
+    value `d` at its own pivot and 0 at the other pivots, so rows[q] / d is
+    the row of the reduced row echelon form with pivot q.  add(vec) reduces
+    d vec by the rows, v -> d v - sum vec[q] rows[q]; a nonzero result w,
+    with first nonzero entry p at index q, turns every other row into
+    (p row - row[q] w) / d and becomes rows[q], and d becomes p.  The
+    entries stay minors of the accepted rows, so the division is exact
+    (Bareiss, Math. Comp. 1968); reducing against rows that are only made
+    primitive instead lets them grow without bound.  Every row is 0 before
+    its pivot, so the pivots are the pivot columns of the RREF whatever
+    order the rows came in.
     """
-    rows, cols = m.rows, m.cols
-    work = [_clear_denominators(m.entries[i * cols:(i + 1) * cols])[1]
-            for i in range(rows)]
-    pivots = []
-    prev = (1, 0)
-    for c in range(cols):
-        r = len(pivots)
-        if r == rows:
+
+    __slots__ = ("rows", "d")
+
+    def __init__(self):
+        self.rows = {}
+        self.d = (1, 0)
+
+    def add(self, vec) -> bool:
+        """Put the Z[i] vector vec into the basis; True when it was new."""
+        d = self.d
+        w = [_zmul(d, x) for x in vec]
+        for piv, row in self.rows.items():
+            f = vec[piv]
+            if f != (0, 0):
+                w = [_zsub(x, _zmul(f, y)) for x, y in zip(w, row)]
+        q = next((idx for idx, z in enumerate(w) if z != (0, 0)), None)
+        if q is None:
+            return False
+        p = w[q]
+        for piv, row in self.rows.items():
+            f = row[q]
+            self.rows[piv] = [_zdiv_exact(_zsub(_zmul(p, x), _zmul(f, y)), d)
+                              for x, y in zip(row, w)]
+        self.rows[q] = w
+        self.d = p
+        return True
+
+
+def _eliminate(m: ExactMatrix) -> _Echelon:
+    """The echelon basis of the rows of m, each cleared of denominators."""
+    kernel = _Echelon()
+    cols = m.cols
+    for i in range(m.rows):
+        if len(kernel.rows) == cols:
             break
-        pivot_row = next((i for i in range(r, rows) if work[i][c] != (0, 0)), None)
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(rows):
-            if i != r:
-                f = work[i][c]
-                work[i] = [_zdiv_exact(_zsub(_zmul(p, x), _zmul(f, y)), prev)
-                           for x, y in zip(work[i], prow)]
-        pivots.append(c)
-        prev = p
-    return work, pivots, prev
+        kernel.add(_clear_denominators(m.entries[i * cols:(i + 1) * cols])[1])
+    return kernel
 
 
 def mat_rank(m: ExactMatrix) -> int:
     """Exact rank over Q(i): the pivot count of the fraction-free elimination."""
-    return len(_echelon(m)[1])
+    return len(_eliminate(m).rows)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +525,11 @@ def mat_rank(m: ExactMatrix) -> int:
 
 def rref(m: ExactMatrix):
     """Return (rref rows as lists, pivot column list); first-nonzero pivoting."""
-    work, pivots, p = _echelon(m)
-    pc, n = _zconj(p), _znorm(p)
-    return [[_gauss_over(*_zmul(z, pc), n) for z in row] for row in work], pivots
+    kernel = _eliminate(m)
+    pivots = sorted(kernel.rows)
+    dc, n = _zconj(kernel.d), _znorm(kernel.d)
+    rows = [[_gauss_over(*_zmul(z, dc), n) for z in kernel.rows[c]] for c in pivots]
+    return rows + [[ZERO] * m.cols for _ in range(m.rows - len(rows))], pivots
 
 
 def mat_kernel(m: ExactMatrix):
@@ -528,9 +551,6 @@ def solve_general(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """One exact solution X of a X = b; raises SingularOperatorError if none exists."""
     aug = hstack([a, b])
     rows, pivots = rref(aug)
-    for r in range(len(rows)):
-        if all(not x for x in rows[r][:a.cols]) and any(rows[r][a.cols:]):
-            raise SingularOperatorError("inconsistent linear system")
     x = [[ZERO] * b.cols for _ in range(a.cols)]
     for r, pc in enumerate(pivots):
         if pc >= a.cols:
@@ -561,46 +581,50 @@ def column_space_basis(m: ExactMatrix) -> ExactMatrix:
 
 
 def complete_basis(basis: ExactMatrix) -> ExactMatrix:
-    """Standard vectors, greedily by index, completing the columns of `basis`."""
+    """Standard vectors, greedily by index, completing the independent
+    columns of `basis`: one elimination that takes the columns and then each
+    e_j in turn, keeping the e_j that are new."""
     n = basis.rows
+    kernel = _Echelon()
+    for j in range(basis.cols):
+        kernel.add(_clear_denominators(basis.entries[j::basis.cols])[1])
     chosen = []
-    current = basis
     for j in range(n):
-        e = ExactMatrix(n, 1, [ONE if i == j else ZERO for i in range(n)])
-        cand = hstack([current, e])
-        if mat_rank(cand) > mat_rank(current):
-            chosen.append(e)
-            current = cand
-        if current.cols == n:
+        if len(kernel.rows) == n:
             break
-    if current.cols != n:
+        if kernel.add([(int(i == j), 0) for i in range(n)]):
+            chosen.append(j)
+    if basis.cols + len(chosen) != n:
         raise ValueError("could not complete basis")
-    return hstack(chosen) if chosen else ExactMatrix.zeros(n, 0)
+    return ExactMatrix(n, len(chosen), [ONE if i == j else ZERO
+                                        for i in range(n) for j in chosen])
 
 
 def solve_sylvester(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """Unique X with aX - Xb = c; SingularOperatorError when spectra intersect."""
+    """Unique X with aX - Xb = c; SingularOperatorError when spectra intersect.
+
+    One RREF of the Kronecker system [K | vec c]: K is nonsingular exactly
+    when the pivots are its dim columns, and then the last column is vec X.
+    """
     s, t = a.rows, b.rows
     if a.cols != s or b.cols != t or c.rows != s or c.cols != t:
         raise ValueError("shape mismatch in Sylvester equation")
     # Row (i,j) of the Kronecker system: sum_k a[i,k] X[k,j] - sum_k X[i,k] b[k,j].
     dim = s * t
-    sys_rows = []
-    rhs = []
+    flat = []
     for i in range(s):
         for j in range(t):
-            row = [ZERO] * dim
+            row = [ZERO] * (dim + 1)
             for k in range(s):
                 row[k * t + j] = row[k * t + j] + a.entry(i, k)
             for k in range(t):
                 row[i * t + k] = row[i * t + k] - b.entry(k, j)
-            sys_rows.append(row)
-            rhs.append([c.entry(i, j)])
-    sys_m = ExactMatrix.from_rows(sys_rows) if dim else ExactMatrix.zeros(0, 0)
-    if dim and mat_rank(sys_m) != dim:
+            row[dim] = c.entry(i, j)
+            flat.extend(row)
+    rows, pivots = rref(ExactMatrix(dim, dim + 1, flat))
+    if pivots != list(range(dim)):
         raise SingularOperatorError("Sylvester operator X -> aX - Xb is singular")
-    x = solve_general(sys_m, ExactMatrix.from_rows(rhs) if dim else ExactMatrix.zeros(0, 1))
-    return ExactMatrix(s, t, [x.entry(i * t + j, 0) for i in range(s) for j in range(t)])
+    return ExactMatrix(s, t, [row[dim] for row in rows])
 
 
 # ---------------------------------------------------------------------------

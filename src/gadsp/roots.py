@@ -22,11 +22,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .builder import QuiverInstance, lattice_member, lattice_test
+from .builder import QuiverInstance, lattice_member
 from .quiver import (
     Quiver,
     dot,  # noqa: F401 -- perfbench/tracer.py times calls made through roots.dot
-    orthogonality_test,
     pair_with_unit,
     reflect_dim,
     sym_form,
@@ -139,16 +138,18 @@ def fundamental_in_box(q: Quiver, bound, budget=None):
     pos_of = {v: t for t, v in enumerate(order)}
     last_nbr_pos = [max([pos_of[w] for w in q.neighbors(v)] + [pos_of[v]])
                     for v in range(nv)]
+    # Assigning order[t] changes the constraints of order[t] and of its
+    # assigned neighbors only; the others passed at the parent node.
+    touched = [[v] + sorted({w for w in q.neighbors(v) if pos_of[w] < t})
+               for t, v in enumerate(order)]
 
     out = []
     values = [0] * nv
 
     def feasible(t):
-        # After assigning order[0..t], check finished vertices exactly and
+        # After assigning order[t], check finished vertices exactly and
         # unfinished ones against the best their unassigned neighbors allow.
-        for v in range(nv):
-            if pos_of[v] > t:
-                continue
+        for v in touched[t]:
             assigned_sum = 0
             slack = 0
             for w in q.neighbors(v):
@@ -236,23 +237,6 @@ def box_volume(bound) -> int:
     for b in bound:
         vol *= b + 1
     return vol
-
-
-def enum_constrained_roots(inst: QuiverInstance, bound, lam,
-                           box_cap=DEFAULT_BOX_VOLUME_CAP,
-                           work_cap=DEFAULT_WORK_CAP):
-    """Positive roots 0 < beta <= bound in the level-sum lattice with
-    beta . lam = 0, in deterministic (height, lex) order."""
-    if any(b < 0 for b in bound):
-        raise ValueError("bound must be non-negative")
-    if box_volume(bound) > box_cap:
-        raise SearchCapExceeded("root box volume above configured limit")
-    budget = [work_cap]
-    roots = positive_roots_in_box(inst.quiver, bound, budget)
-    in_lattice, orthogonal = lattice_test(inst), orthogonality_test(lam)
-    picked = [beta for beta in roots if in_lattice(beta) and orthogonal(beta)]
-    picked.sort(key=lambda b: (sum(b), b))
-    return picked
 
 
 def quasi_fundamental_test(inst: QuiverInstance, beta) -> bool:

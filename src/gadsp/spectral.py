@@ -100,10 +100,14 @@ def select_xi(res: ResidueSpec):
         xi = []
         for value, _ in qi_eigenvalues(m):
             shifted = m.add_scalar(-value)
-            power = shifted
+            power, rank = shifted, mat_rank(shifted)
             largest = 1
-            while mat_rank(power) != mat_rank(power * shifted):
+            while True:
                 power = power * shifted
+                next_rank = mat_rank(power)
+                if next_rank == rank:
+                    break
+                rank = next_rank
                 largest += 1
             xi.extend([value] * largest)
         xi = tuple(xi)

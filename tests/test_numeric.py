@@ -15,7 +15,9 @@ from gadsp.numeric import (
     SingularOperatorError,
     _lifting_prime,
     char_poly,
+    complete_basis,
     gauss_parse,
+    hstack,
     I_UNIT,
     invert,
     mat_kernel,
@@ -23,6 +25,7 @@ from gadsp.numeric import (
     qi_eigenvalues,
     qi_roots,
     rref,
+    solve_general,
     solve_sylvester,
 )
 
@@ -299,6 +302,61 @@ def test_rref_and_rank_match_reference(m):
     expected = reference_rref(m)
     assert rref(m) == expected
     assert mat_rank(m) == len(expected[1])
+
+
+def reference_complete_basis(basis):
+    """The greedy loop as first written, with ranks from reference_rref: a
+    standard vector is kept when it raises the rank of the columns so far."""
+    n = basis.rows
+    chosen = []
+    current = basis
+    for j in range(n):
+        e = ExactMatrix(n, 1, [GaussRat(int(i == j)) for i in range(n)])
+        cand = hstack([current, e])
+        if len(reference_rref(cand)[1]) > len(reference_rref(current)[1]):
+            chosen.append(e)
+            current = cand
+        if current.cols == n:
+            break
+    if current.cols != n:
+        raise ValueError("could not complete basis")
+    return hstack(chosen) if chosen else ExactMatrix.zeros(n, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices())
+def test_complete_basis_matches_reference(m):
+    # the pivot columns of m are independent
+    _, pivots = reference_rref(m)
+    basis = ExactMatrix(m.rows, len(pivots),
+                        [m.entry(i, c) for i in range(m.rows) for c in pivots])
+    assert complete_basis(basis) == reference_complete_basis(basis)
+
+
+def test_complete_basis_rejects_dependent_columns():
+    v = ExactMatrix.from_rows([[1], [GaussRat(0, 1)], [0]])
+    with pytest.raises(ValueError, match="could not complete basis"):
+        complete_basis(hstack([v, v.scale(GaussRat(2, 1))]))
+    with pytest.raises(ValueError, match="could not complete basis"):
+        complete_basis(hstack([ExactMatrix.identity(2), ExactMatrix.zeros(2, 1)]))
+    assert complete_basis(ExactMatrix.identity(3)) == ExactMatrix.zeros(3, 0)
+    assert complete_basis(ExactMatrix.zeros(0, 0)) == ExactMatrix.zeros(0, 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(structured_matrices(s[0], s[1]),
+                        structured_matrices(s[1], s[2]),
+                        structured_matrices(s[0], s[2]))))
+def test_solve_general_solves_or_raises(problem):
+    a, x, b = problem
+    assert a * solve_general(a, a * x) == a * x
+    # b is consistent exactly when no RREF pivot of [a | b] lies in b
+    if any(pc >= a.cols for pc in reference_rref(hstack([a, b]))[1]):
+        with pytest.raises(SingularOperatorError, match="^inconsistent linear system$"):
+            solve_general(a, b)
+    else:
+        assert a * solve_general(a, b) == b
 
 
 def test_rref_with_non_real_pivots():

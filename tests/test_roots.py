@@ -5,17 +5,15 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadsp.builder import build_instance, lattice_member
+from gadsp.builder import build_instance
 from gadsp.gensamples import (
     random_instance_data,
     random_lattice_vector,
     random_multi_index,
 )
-from gadsp.numeric import GaussRat
 from gadsp.quiver import (
     Quiver,
     composite_eps,
-    dot,
     pair_with_unit,
     sym_form,
     tits,
@@ -24,7 +22,6 @@ from gadsp.roots import (
     SearchCapExceeded,
     classify_tame,
     composite_is_real_root,
-    enum_constrained_roots,
     fundamental_in_box,
     generator_pairing,
     is_root,
@@ -36,6 +33,7 @@ from gadsp.roots import (
     xi_image,
 )
 from gadsp.serialize import parse_spectral
+from gadsp.sigma import sigma_member
 from gadsp.spectral import normalize
 
 
@@ -129,26 +127,10 @@ def _solved_instance():
     return build_instance(data)
 
 
-def test_enum_constrained_roots_unit_box():
-    inst = _solved_instance()
-    mi = (1, 1, 1)
-    eps = composite_eps(inst, mi)
-    lam_zero = tuple(GaussRat(0) for _ in inst.quiver.vertices)
-    assert enum_constrained_roots(inst, eps, lam_zero) == [eps]
-    leg = inst.quiver.unit((1, 1, 1))
-    assert enum_constrained_roots(inst, leg, lam_zero) == [leg]
-    # with the instance lambda, candidates must be orthogonal
-    got = enum_constrained_roots(inst, inst.alpha, inst.lam)
-    for beta in got:
-        assert dot(beta, inst.lam) == GaussRat(0)
-        assert is_root(inst.quiver, beta).kind != "not_root"
-
-
 def test_enum_box_cap():
     inst = _solved_instance()
-    with pytest.raises(SearchCapExceeded):
-        enum_constrained_roots(inst, tuple(9 for _ in inst.quiver.vertices),
-                               inst.lam, box_cap=10)
+    with pytest.raises(SearchCapExceeded, match="box volume above configured limit"):
+        sigma_member(inst.quiver, inst.alpha, inst.lam, box_cap=10)
 
 
 def _d4_like_instance():
@@ -492,15 +474,88 @@ def test_closure_reaches_imaginary_and_zero_bounds():
     assert all(beta[2] == 0 for beta in table)
 
 
-def test_enum_constrained_roots_matches_pointwise_filter():
-    rng = random.Random(41)
-    for _ in range(12):
-        data = random_instance_data(rng, n=rng.randint(1, 3), p=rng.randint(1, 2))
-        data, _ = normalize(data)
-        inst = build_instance(data)
-        bound = tuple(min(a, 3) for a in inst.alpha)
-        expected = sorted(
-            (beta for beta in positive_roots_in_box(inst.quiver, bound)
-             if lattice_member(inst, beta) and not dot(beta, inst.lam)),
-            key=lambda b: (sum(b), b))
-        assert enum_constrained_roots(inst, bound, inst.lam) == expected
+def reference_fundamental_in_box(q, bound, budget):
+    """The fundamental-set scan as first written: every assigned vertex
+    rechecked at every search node."""
+    nv = len(q.vertices)
+    if nv == 0:
+        return []
+    start = max(range(nv), key=lambda i: (len(q.neighbors(i)), -i))
+    order = []
+    seen = {start}
+    dq = deque([start])
+    while dq:
+        v = dq.popleft()
+        order.append(v)
+        for w in q.neighbors(v):
+            if w not in seen:
+                seen.add(w)
+                dq.append(w)
+    for v in range(nv):
+        if v not in seen:
+            seen.add(v)
+            order.append(v)
+    pos_of = {v: t for t, v in enumerate(order)}
+    last_nbr_pos = [max([pos_of[w] for w in q.neighbors(v)] + [pos_of[v]])
+                    for v in range(nv)]
+    out = []
+    values = [0] * nv
+
+    def feasible(t):
+        for v in range(nv):
+            if pos_of[v] > t:
+                continue
+            assigned_sum = 0
+            slack = 0
+            for w in q.neighbors(v):
+                if pos_of[w] <= t:
+                    assigned_sum += values[w]
+                else:
+                    slack += bound[w]
+            lhs = 2 * values[v] - assigned_sum
+            if last_nbr_pos[v] <= t:
+                if lhs > 0:
+                    return False
+            elif lhs > slack:
+                return False
+        return True
+
+    def descend(t):
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise SearchCapExceeded("fundamental-set scan budget exhausted")
+        if t == nv:
+            beta = tuple(values[v] for v in range(nv))
+            if any(beta) and q.support_connected(beta):
+                out.append(beta)
+            return
+        v = order[t]
+        for val in range(bound[v] + 1):
+            values[v] = val
+            if feasible(t):
+                descend(t + 1)
+        values[v] = 0
+
+    descend(0)
+    out.sort()
+    return out
+
+
+def _scan_outcome(scan, q, bound, cap):
+    budget = [cap]
+    try:
+        members = scan(q, bound, budget)
+    except SearchCapExceeded as exc:
+        return "raised", str(exc)
+    return members, budget[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_quivers(), st.integers(0, 3000))
+def test_fundamental_scan_matches_reference(problem, cap):
+    q, bound = problem
+    # the same members in the same order, the same work, and the same cap trips
+    full = _scan_outcome(fundamental_in_box, q, bound, 10**7)
+    assert full == _scan_outcome(reference_fundamental_in_box, q, bound, 10**7)
+    assert (_scan_outcome(fundamental_in_box, q, bound, cap)
+            == _scan_outcome(reference_fundamental_in_box, q, bound, cap))
