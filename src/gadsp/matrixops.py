@@ -10,18 +10,18 @@ touches non-negative powers, so it never survives the truncation).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .builder import QuiverInstance
 from .numeric import (
     ExactMatrix,
-    GaussRat,
     NonSplitError,
     ZERO,
     _Echelon,
-    _clear_denominators,
+    _primitive,
+    _reduced,
     _zmatmul,
+    _zmul,
     block_diag,
     column_space_basis,
     complete_basis,
@@ -125,6 +125,16 @@ def poly_times_part(g, part, order):
 # local normal forms
 
 
+def _ranges(sizes):
+    """The consecutive index ranges (start, end) of blocks of the given sizes."""
+    out = []
+    start = 0
+    for size in sizes:
+        out.append((start, start + size))
+        start += size
+    return out
+
+
 @dataclass(frozen=True)
 class HtlBlock:
     q_coeffs: tuple      # degrees 2..order, padded
@@ -142,12 +152,7 @@ class HtlForm:
         return sum(b.size for b in self.blocks)
 
     def block_ranges(self):
-        out = []
-        start = 0
-        for b in self.blocks:
-            out.append((start, start + b.size))
-            start += b.size
-        return out
+        return _ranges(b.size for b in self.blocks)
 
     def part_matrices(self):
         """[B_1, ..., B_order] with scalar q-blocks above the residue level."""
@@ -206,37 +211,27 @@ def htl_reduce(part, order):
     total = [g0] + [ExactMatrix.zeros(n)] * (order - 1)
     cur = gauge_conjugate(total, part, order)
 
-    offsets = []
-    start = 0
-    for s in sizes:
-        offsets.append((start, start + s))
-        start += s
+    # Each gauge step solves u_rc = target_rc / (v_i - v_j) on the blocks
+    # (i, j), i != j: the entrywise product with one matrix of the inverses.
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    inverses = {(i, j): (values[i] - values[j]).inverse()
+                for i in range(len(values)) for j in range(len(values)) if i != j}
+    gaps = ExactMatrix.from_rows([[inverses.get((i, j), ZERO) for j in block_of]
+                                  for i in block_of])
 
     for s in range(1, order):
         target = cur[order - s - 1]
-        u = [[ZERO] * n for _ in range(n)]
-        dirty = False
-        for bi, (r0, r1) in enumerate(offsets):
-            for bj, (c0, c1) in enumerate(offsets):
-                if bi == bj:
-                    continue
-                gap = (values[bj] - values[bi]).inverse()
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        e = target.entry(r, c)
-                        if e:
-                            u[r][c] = -(e * gap)
-                            dirty = True
-        if not dirty:
+        u = [_zmul(x, y) for x, y in zip(target.z, gaps.z)]
+        if u.count((0, 0)) == len(u):
             continue
         g = poly_identity(n, order)
-        g[s] = ExactMatrix.from_rows(u)
+        g[s] = _reduced(n, n, target.d * gaps.d, u)
         cur = gauge_conjugate(g, cur, order)
         total = poly_mul(g, total, order)
 
     blocks = []
     gauges = []
-    for b, (r0, r1) in enumerate(offsets):
+    for b, (r0, r1) in enumerate(_ranges(sizes)):
         sub_part = [cur[j].block(r0, r1, r0, r1) for j in range(order - 1)]
         sub_form, sub_gauge = htl_reduce(sub_part, order - 1)
         for blk in sub_form.blocks:
@@ -372,15 +367,6 @@ _FAST_I = pow(11, (_FAST_PRIME - 1) // 4, _FAST_PRIME)
 assert (_FAST_I * _FAST_I + 1) % _FAST_PRIME == 0
 
 
-def _modp_entry(g: GaussRat):
-    p = _FAST_PRIME
-    if g.re.denominator % p == 0 or g.im.denominator % p == 0:
-        return None
-    re = g.re.numerator * pow(g.re.denominator, -1, p)
-    im = g.im.numerator * pow(g.im.denominator, -1, p)
-    return (re + im * _FAST_I) % p
-
-
 def _algebra_spans(ident, gens, n, product, add):
     """True when the unital algebra generated by gens is all n x n matrices.
 
@@ -413,10 +399,11 @@ def _irreducible_modp(gens, n):
     p = _FAST_PRIME
     red_gens = []
     for g in gens:
-        red = [_modp_entry(x) for x in g.entries]
-        if None in red:
+        # p divides d exactly when it divides some entry's denominator
+        if g.d % p == 0:
             return None
-        red_gens.append(red)
+        inv = pow(g.d, -1, p)
+        red_gens.append([(a + b * _FAST_I) * inv % p for a, b in g.z])
     basis = {}
 
     def add(vec):
@@ -451,29 +438,15 @@ def _irreducible_exact(gens, n):
     """The same closure over Z[i], exactly, with the span kept by the
     fraction-free elimination kernel `numeric._Echelon`.
 
-    Each generator is scaled by the common denominator of its entries; a
-    nonzero scalar leaves the unital algebra unchanged, so every word stays
-    in Z[i].  Words are divided by their integer content.
+    The generators are their numerators: a nonzero scalar leaves the unital
+    algebra unchanged, so every word stays in Z[i].  Words are divided by
+    their integer content.
     """
     def product(g, b):
         return _primitive(_zmatmul(g, b, n, n, n))
 
     ident = [(int(i == j), 0) for i in range(n) for j in range(n)]
-    zgens = [_clear_denominators(g.entries)[1] for g in gens]
-    return _algebra_spans(ident, zgens, n, product, _Echelon().add)
-
-
-def _primitive(vec):
-    """vec, a list of Z[i] pairs, divided by the gcd of all its components."""
-    # A loop, not gcd(*...): see _clear_denominators.
-    c = 0
-    for a, b in vec:
-        c = math.gcd(c, a, b)
-        if c == 1:
-            break
-    if c <= 1:
-        return vec
-    return [(a // c, b // c) for a, b in vec]
+    return _algebra_spans(ident, [g.z for g in gens], n, product, _Echelon().add)
 
 
 def irreducible_test(t: MatrixTuple) -> bool:
@@ -543,9 +516,6 @@ class CanonicalDatum:
     def p_map(self):
         return vstack(list(self.p_blocks))
 
-    def t_map(self):
-        return block_diag(list(self.t_blocks))
-
 
 def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
     """Stack each pole part into shift data on V^{k_i} and quotient by the
@@ -557,30 +527,17 @@ def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
     p_blocks = []
     for k, part in zip(t.orders, t.parts):
         nk = n * k
-        rows = []
-        for r in range(k):
-            row = []
-            for s in range(k):
-                if s >= r:
-                    row.append(part[k - (s - r) - 1])
-                else:
-                    row.append(ExactMatrix.zeros(n))
-            rows.append(row)
-        a_hat = vstack([hstack(r) for r in rows])
-        n_hat = vstack([hstack([ExactMatrix.identity(n) if s == r + 1
-                                else ExactMatrix.zeros(n)
-                                for s in range(k)]) for r in range(k)])
+        zero, one = ExactMatrix.zeros(n), ExactMatrix.identity(n)
+        a_hat = vstack([hstack([part[k - 1 - s + r] if s >= r else zero for s in range(k)])
+                        for r in range(k)])
+        n_hat = vstack([hstack([one if s == r + 1 else zero for s in range(k)])
+                        for r in range(k)])
         q_hat = hstack([part[k - 1 - s] for s in range(k)])
-        p_hat = vstack([ExactMatrix.zeros(n)] * (k - 1) + [ExactMatrix.identity(n)]) \
-            if k > 1 else ExactMatrix.identity(n)
-        kern = mat_kernel(a_hat)
-        if kern:
-            k_mat = hstack([ExactMatrix(nk, 1, v) for v in kern])
-        else:
-            k_mat = ExactMatrix.zeros(nk, 0)
+        p_hat = vstack([zero] * (k - 1) + [one])
+        k_mat = mat_kernel(a_hat)
         comp = complete_basis(k_mat)
         dim_w = comp.cols
-        basis = hstack([k_mat, comp]) if k_mat.cols else comp
+        basis = hstack([k_mat, comp])
         inv = invert(basis)
         proj = inv.block(nk - dim_w, nk, 0, nk)
         t_blocks.append(proj * n_hat * comp)
@@ -667,22 +624,16 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
     # The section of W -> coker P with image Ker Q: the only choice that
     # makes the output well-defined up to conjugation (N does not preserve
     # Im P, so other complements shear the new principal parts).
-    kern = mat_kernel(q_map)
-    if len(kern) != n_new:
+    comp = mat_kernel(q_map)
+    if comp.cols != n_new:
         raise OrbitMismatchError("canonical datum evaluation is not surjective")
-    comp = hstack([ExactMatrix(dim_w, 1, v) for v in kern])
     basis = hstack([p_map, comp])
     inv = invert(basis)
     q_prime = inv.block(t.n, dim_w, 0, dim_w)
     p_prime = comp.scale(xi_mi)
 
-    offsets = []
-    start = 0
-    for d in cd.dims_w:
-        offsets.append((start, start + d))
-        start += d
     out_parts = []
-    for i, (k, (w0, w1)) in enumerate(zip(t.orders, offsets)):
+    for i, (k, (w0, w1)) in enumerate(zip(t.orders, _ranges(cd.dims_w))):
         qp_i = q_prime.block(0, n_new, w0, w1)
         pp_i = p_prime.block(w0, w1, 0, n_new)
         n_i = cd.t_blocks[i]
@@ -813,42 +764,22 @@ def _level_groups(form: HtlForm, level):
     return groups
 
 
-def _graded_split(m, form, level):
-    """(strictly lower, rest) of m w.r.t. the level grouping of fine blocks."""
+def _graded_part(m, form, level, side):
+    """The blocks (bi, bj) of m whose level groups compare as `side`: 1 for
+    group(bi) > group(bj), strictly lower, and -1 for strictly upper; the
+    other entries 0."""
+    group_of = []
+    for gi, (b0, b1) in enumerate(_level_groups(form, level)):
+        group_of.extend([gi] * (b1 - b0))
     ranges = form.block_ranges()
-    groups = _level_groups(form, level)
-    group_of = {}
-    for gi, (b0, b1) in enumerate(groups):
-        for b in range(b0, b1):
-            group_of[b] = gi
     n = m.rows
-    lower = [[ZERO] * n for _ in range(n)]
-    rest = [[ZERO] * n for _ in range(n)]
+    out = [(0, 0)] * (n * n)
     for bi, (r0, r1) in enumerate(ranges):
         for bj, (c0, c1) in enumerate(ranges):
-            dst = lower if group_of[bi] > group_of[bj] else rest
-            for r in range(r0, r1):
-                for c in range(c0, c1):
-                    dst[r][c] = m.entry(r, c)
-    return ExactMatrix.from_rows(lower), ExactMatrix.from_rows(rest)
-
-
-def _graded_upper(m, form, level):
-    ranges = form.block_ranges()
-    groups = _level_groups(form, level)
-    group_of = {}
-    for gi, (b0, b1) in enumerate(groups):
-        for b in range(b0, b1):
-            group_of[b] = gi
-    n = m.rows
-    upper = [[ZERO] * n for _ in range(n)]
-    for bi, (r0, r1) in enumerate(ranges):
-        for bj, (c0, c1) in enumerate(ranges):
-            if group_of[bi] < group_of[bj]:
-                for r in range(r0, r1):
-                    for c in range(c0, c1):
-                        upper[r][c] = m.entry(r, c)
-    return ExactMatrix.from_rows(upper)
+            if (group_of[bi] - group_of[bj]) * side > 0:
+                for k in range(r0 * n, r1 * n, n):
+                    out[k + c0:k + c1] = m.z[k + c0:k + c1]
+    return _reduced(n, n, m.d, out)
 
 
 def factor_pole(part, order, form: HtlForm, gauge):
@@ -874,18 +805,15 @@ def factor_pole(part, order, form: HtlForm, gauge):
             if not u_minus[j].is_zero() and not p_plus[s - j].is_zero():
                 acc = acc + u_minus[j] * p_plus[s - j]
         residual = g_low[s] - acc
-        if s + 1 < order:
-            low, rest = _graded_split(residual, form, s + 1)
-        else:
-            low, rest = ExactMatrix.zeros(n), residual
-        u_minus[s] = low
-        p_plus[s] = rest
+        # at level `order` all blocks form one group, so nothing is lower
+        u_minus[s] = _graded_part(residual, form, s + 1, 1)
+        p_plus[s] = residual - u_minus[s]
 
     q_coeffs = tuple(u_minus[s] for s in range(1, max(order - 1, 1)))
     irr = [ExactMatrix.zeros(n)] + list(a_part[1:])  # kill the residue level
     u_minus_inv = poly_inverse(u_minus, order)
     a_prime = poly_times_part(u_minus_inv, irr, order)
-    p_coeffs = tuple(_graded_upper(a_prime[s], form, s + 1)
+    p_coeffs = tuple(_graded_part(a_prime[s], form, s + 1, -1)
                      for s in range(1, max(order - 1, 1)))
     return PoleFactorization(-1, tuple(a_part), form, g0_inv, q_coeffs, p_coeffs)
 

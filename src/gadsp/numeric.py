@@ -3,15 +3,17 @@
 Every quantity in this package (eigenvalues, polynomial-part coefficients,
 matrix entries) lives in Q(i), so equality, rank and kernel questions are
 decidable and all downstream certificates are reproducible bit for bit.
-Matrices store GaussRat entries, but products and eliminations are computed
-over the Gaussian integers Z[i] after clearing denominators, and converted
-back only at the end.  Products take integer dot products.  Every
-elimination runs in one kernel, `_Echelon`: a fraction-free (Bareiss)
-Gauss-Jordan basis that takes one row at a time and says whether it was new.
-Rank, RREF, kernels, inverses and linear solves insert the rows of a matrix;
-basis completion inserts the columns and then the standard vectors; the
-exact Burnside closure in `matrixops` inserts the words it generates.  The
-pivot of a row is its first nonzero entry, never a magnitude heuristic.
+A matrix is one positive integer denominator over its row-major numerators
+in the Gaussian integers Z[i], in lowest terms (the shared denominator of
+FLINT's fmpq_mat), so sums, scalings, products and eliminations run on ints.
+GaussRat is the scalar and the I/O type: a matrix is built from GaussRats and
+gives them back only through its entry views.  Every elimination runs in one
+kernel, `_Echelon`: a fraction-free (Bareiss) Gauss-Jordan basis that takes
+one row at a time and says whether it was new.  Rank, RREF, kernels, inverses
+and linear solves insert the rows of a matrix; basis completion inserts the
+columns and then the standard vectors; the exact Burnside closure in
+`matrixops` inserts the words it generates.  The pivot of a row is its first
+nonzero entry, never a magnitude heuristic.
 
 Eigenvalues are the roots in Q(i) of the characteristic polynomial, found
 exactly in plain Python by modular root finding and Hensel lifting (von zur
@@ -246,17 +248,21 @@ def _scan_full(fragment, pos):
 
 
 class ExactMatrix:
-    """Dense matrix over Q(i), row-major, immutable after construction."""
+    """Dense matrix over Q(i), immutable after construction.
 
-    __slots__ = ("rows", "cols", "entries")
+    Stored as one denominator `d`, a positive int, over `z`, the row-major
+    Z[i] numerators as (re, im) int pairs, with gcd(d, every component) == 1
+    so that equal matrices have equal fields.  The constructor takes GaussRat
+    entries; `entries`, `entry` and `row_list` build GaussRats on demand.
+    """
 
-    def __init__(self, rows, cols, entries):
-        entries = tuple(entries)
+    __slots__ = ("rows", "cols", "d", "z")
+
+    def __new__(cls, rows, cols, entries):
+        entries = list(entries)
         if len(entries) != rows * cols:
             raise ValueError("entry count %d != %d x %d" % (len(entries), rows, cols))
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        return _make(rows, cols, *_clear_denominators(entries))
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
@@ -280,88 +286,130 @@ class ExactMatrix:
     def zeros(rows, cols=None):
         if cols is None:
             cols = rows
-        return ExactMatrix(rows, cols, [ZERO] * (rows * cols))
+        return _make(rows, cols, 1, [(0, 0)] * (rows * cols))
 
     @staticmethod
     def identity(n):
-        return ExactMatrix(n, n, [ONE if i == j else ZERO
-                                  for i in range(n) for j in range(n)])
+        return ExactMatrix.scalar(n, ONE)
 
     @staticmethod
     def scalar(n, value):
-        value = _coerce(value)
-        return ExactMatrix(n, n, [value if i == j else ZERO
-                                  for i in range(n) for j in range(n)])
+        return ExactMatrix.zeros(n).add_scalar(value)
+
+    @property
+    def entries(self):
+        d = self.d
+        return [_gauss_over(re, im, d) for re, im in self.z]
 
     def entry(self, i, j):
-        return self.entries[i * self.cols + j]
+        return _gauss_over(*self.z[i * self.cols + j], self.d)
 
     def row_list(self, i):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
+        d = self.d
+        return [_gauss_over(re, im, d)
+                for re, im in self.z[i * self.cols:(i + 1) * self.cols]]
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+        return (self.rows == other.rows and self.cols == other.cols
+                and self.d == other.d and self.z == other.z)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
+        return hash((self.rows, self.cols, self.d, tuple(self.z)))
 
     def __repr__(self):
         return "ExactMatrix(%d x %d)" % (self.rows, self.cols)
 
     def __add__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           [a + b for a, b in zip(self.entries, other.entries)])
-
-    def __sub__(self, other):
-        self._same_shape(other)
-        return ExactMatrix(self.rows, self.cols,
-                           [a - b for a, b in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [-a for a in self.entries])
-
-    def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        d = math.lcm(self.d, other.d)
+        f, g = d // self.d, d // other.d
+        return _reduced(self.rows, self.cols, d, [
+            (a * f + c * g, b * f + e * g) for (a, b), (c, e) in zip(self.z, other.z)])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return _make(self.rows, self.cols, self.d,
+                     [(-a, -b) for a, b in self.z])
 
     def scale(self, c):
-        c = _coerce(c)
-        return ExactMatrix(self.rows, self.cols, [c * a for a in self.entries])
+        cd, ((x, y),) = _clear_denominators([_coerce(c)])
+        return _reduced(self.rows, self.cols, self.d * cd,
+                        [(a * x - b * y, a * y + b * x) for a, b in self.z])
 
     def __mul__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError("inner dimension mismatch")
-        da, a = _clear_denominators(self.entries)
-        db, b = _clear_denominators(other.entries)
-        d = da * db
-        return ExactMatrix(self.rows, other.cols,
-                           [_gauss_over(re, im, d) for re, im in
-                            _zmatmul(a, b, self.rows, self.cols, other.cols)])
+        return _reduced(self.rows, other.cols, self.d * other.d,
+                        _zmatmul(self.z, other.z, self.rows, self.cols, other.cols))
 
     def trace(self):
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        acc = ZERO
-        for i in range(self.rows):
-            acc = acc + self.entry(i, i)
-        return acc
+        diag = self.z[::self.cols + 1]
+        return _gauss_over(sum(a for a, _ in diag), sum(b for _, b in diag), self.d)
 
     def is_zero(self):
-        return all(not a for a in self.entries)
+        return self.z.count((0, 0)) == len(self.z)
 
     def block(self, r0, r1, c0, c1):
-        return ExactMatrix(r1 - r0, c1 - c0,
-                           [self.entry(i, j) for i in range(r0, r1)
-                            for j in range(c0, c1)])
+        z, c = self.z, self.cols
+        return _reduced(r1 - r0, c1 - c0, self.d,
+                        [x for i in range(r0, r1) for x in z[i * c + c0:i * c + c1]])
 
     def add_scalar(self, c):
         """self + c * identity."""
-        return self + ExactMatrix.scalar(self.rows, c)
+        if self.rows != self.cols:
+            raise ValueError("shape mismatch")
+        cd, ((x, y),) = _clear_denominators([_coerce(c)])
+        d = math.lcm(self.d, cd)
+        f, g = d // self.d, d // cd
+        z = [(a * f, b * f) for a, b in self.z]
+        for k in range(0, len(z), self.cols + 1):
+            a, b = z[k]
+            z[k] = (a + x * g, b + y * g)
+        return _reduced(self.rows, self.cols, d, z)
+
+
+def _make(rows, cols, d, z):
+    """The matrix z / d; (d, z) must be in canonical form."""
+    m = object.__new__(ExactMatrix)
+    setattr_ = object.__setattr__
+    setattr_(m, "rows", rows)
+    setattr_(m, "cols", cols)
+    setattr_(m, "d", d)
+    setattr_(m, "z", z)
+    return m
+
+
+def _reduced(rows, cols, d, z):
+    """The matrix z / d in canonical form: d and z divided by their gcd."""
+    g = d
+    for a, b in z:
+        if g == 1:
+            break
+        g = math.gcd(g, a, b)
+    if g > 1:
+        d //= g
+        z = [(a // g, b // g) for a, b in z]
+    return _make(rows, cols, d, z)
+
+
+def _common(blocks):
+    """(d, numerator lists): the lcm d of the blocks' denominators and each
+    block's numerators over d.  Every prime power of d is some block's in
+    full, so stacking the lists keeps the canonical form."""
+    d = 1
+    for b in blocks:
+        d = math.lcm(d, b.d)
+    return d, [b.z if b.d == d else [(x * (d // b.d), y * (d // b.d)) for x, y in b.z]
+               for b in blocks]
 
 
 def hstack(blocks):
@@ -369,48 +417,51 @@ def hstack(blocks):
     for b in blocks:
         if b.rows != rows:
             raise ValueError("row mismatch in hstack")
+    d, zs = _common(blocks)
     out = []
     for i in range(rows):
-        for b in blocks:
-            out.extend(b.entries[i * b.cols:(i + 1) * b.cols])
-    return ExactMatrix(rows, sum(b.cols for b in blocks), out)
+        for b, z in zip(blocks, zs):
+            out.extend(z[i * b.cols:(i + 1) * b.cols])
+    return _make(rows, sum(b.cols for b in blocks), d, out)
 
 
 def vstack(blocks):
     cols = blocks[0].cols
-    flat = []
     for b in blocks:
         if b.cols != cols:
             raise ValueError("column mismatch in vstack")
-        flat.extend(b.entries)
-    return ExactMatrix(sum(b.rows for b in blocks), cols, flat)
+    d, zs = _common(blocks)
+    return _make(sum(b.rows for b in blocks), cols, d,
+                 [x for z in zs for x in z])
 
 
 def block_diag(blocks):
     n = sum(b.rows for b in blocks)
     m = sum(b.cols for b in blocks)
-    out = [[ZERO] * m for _ in range(n)]
+    d, zs = _common(blocks)
+    out = [(0, 0)] * (n * m)
     r = c = 0
-    for b in blocks:
+    for b, z in zip(blocks, zs):
         for i in range(b.rows):
-            for j in range(b.cols):
-                out[r + i][c + j] = b.entry(i, j)
+            out[(r + i) * m + c:(r + i) * m + c + b.cols] = z[i * b.cols:(i + 1) * b.cols]
         r += b.rows
         c += b.cols
-    return ExactMatrix.from_rows(out)
+    return _make(n, m, d, out)
 
 
 # ---------------------------------------------------------------------------
-# Gaussian-integer kernels: denominators cleared, (re, im) int pairs inside
+# Gaussian-integer kernels: (re, im) int pairs
 
 
 def _clear_denominators(entries):
     """(d, [(re, im), ...]): d the lcm of the denominators of the GaussRat
-    entries, and each entry times d as a pair of ints."""
-    # The distinct denominators are few.  Passing all of them as arguments
-    # would build a tuple of 2*len(entries) per call, and CPython keeps up
-    # to 2000 freed tuples of each size below 20, which raised peak memory.
-    d = math.lcm(*{part.denominator for x in entries for part in (x.re, x.im)})
+    entries, and each entry times d as a pair of ints.  Every prime power of
+    d is some entry's denominator in full, so gcd(d, every component) == 1."""
+    # A loop, not lcm(*...): CPython keeps freed argument tuples of each size
+    # below 20 on free lists that only full collections empty (test_lint.py).
+    d = 1
+    for x in entries:
+        d = math.lcm(d, x.re.denominator, x.im.denominator)
     return d, [(x.re.numerator * (d // x.re.denominator),
                 x.im.numerator * (d // x.im.denominator)) for x in entries]
 
@@ -504,19 +555,36 @@ class _Echelon:
 
 
 def _eliminate(m: ExactMatrix) -> _Echelon:
-    """The echelon basis of the rows of m, each cleared of denominators."""
+    """The echelon basis of the rows of m's numerators."""
     kernel = _Echelon()
     cols = m.cols
     for i in range(m.rows):
         if len(kernel.rows) == cols:
             break
-        kernel.add(_clear_denominators(m.entries[i * cols:(i + 1) * cols])[1])
+        kernel.add(m.z[i * cols:(i + 1) * cols])
     return kernel
 
 
 def mat_rank(m: ExactMatrix) -> int:
     """Exact rank over Q(i): the pivot count of the fraction-free elimination."""
     return len(_eliminate(m).rows)
+
+
+def _divided(rows, cols, z, p):
+    """The matrix z / p, for a flat Z[i] list z and a Gaussian integer p != 0."""
+    c = _zconj(p)
+    return _reduced(rows, cols, _znorm(p), [_zmul(x, c) for x in z])
+
+
+def _solution(kernel, n, c0, c1):
+    """The n x (c1 - c0) matrix whose row q is columns c0..c1-1 of the RREF
+    row with pivot q, or 0 where q is no pivot."""
+    zero = [(0, 0)] * (c1 - c0)
+    z = []
+    for q in range(n):
+        row = kernel.rows.get(q)
+        z.extend(zero if row is None else row[c0:c1])
+    return _divided(n, c1 - c0, z, kernel.d)
 
 
 # ---------------------------------------------------------------------------
@@ -527,37 +595,31 @@ def rref(m: ExactMatrix):
     """Return (rref rows as lists, pivot column list); first-nonzero pivoting."""
     kernel = _eliminate(m)
     pivots = sorted(kernel.rows)
-    dc, n = _zconj(kernel.d), _znorm(kernel.d)
-    rows = [[_gauss_over(*_zmul(z, dc), n) for z in kernel.rows[c]] for c in pivots]
+    top = _divided(len(pivots), m.cols, [x for q in pivots for x in kernel.rows[q]], kernel.d)
+    rows = [top.row_list(i) for i in range(top.rows)]
     return rows + [[ZERO] * m.cols for _ in range(m.rows - len(rows))], pivots
 
 
-def mat_kernel(m: ExactMatrix):
-    """Deterministic basis of the right kernel, one vector per free column."""
-    rows, pivots = rref(m)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [ZERO] * m.cols
-        vec[fc] = ONE
-        for r, pc in enumerate(pivots):
-            vec[pc] = -rows[r][fc]
-        basis.append(tuple(vec))
-    return basis
+def mat_kernel(m: ExactMatrix) -> ExactMatrix:
+    """Deterministic basis of the right kernel, one column per free column f
+    of the RREF: 1 at f and minus the RREF's column f at the pivots."""
+    kernel = _eliminate(m)
+    free = [c for c in range(m.cols) if c not in kernel.rows]
+    k = len(free)
+    z = [(0, 0)] * (m.cols * k)
+    for j, fc in enumerate(free):
+        z[fc * k + j] = kernel.d
+        for pc, row in kernel.rows.items():
+            z[pc * k + j] = (-row[fc][0], -row[fc][1])
+    return _divided(m.cols, k, z, kernel.d)
 
 
 def solve_general(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     """One exact solution X of a X = b; raises SingularOperatorError if none exists."""
-    aug = hstack([a, b])
-    rows, pivots = rref(aug)
-    x = [[ZERO] * b.cols for _ in range(a.cols)]
-    for r, pc in enumerate(pivots):
-        if pc >= a.cols:
-            raise SingularOperatorError("inconsistent linear system")
-        for j in range(b.cols):
-            x[pc][j] = rows[r][a.cols + j]
-    return ExactMatrix.from_rows(x) if a.cols else ExactMatrix.zeros(0, b.cols)
+    kernel = _eliminate(hstack([a, b]))
+    if any(pc >= a.cols for pc in kernel.rows):
+        raise SingularOperatorError("inconsistent linear system")
+    return _solution(kernel, a.cols, a.cols, a.cols + b.cols)
 
 
 def invert(m: ExactMatrix) -> ExactMatrix:
@@ -566,18 +628,17 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    rows, pivots = rref(hstack([m, ExactMatrix.identity(n)]))
-    if pivots != list(range(n)):
+    kernel = _eliminate(hstack([m, ExactMatrix.identity(n)]))
+    if sorted(kernel.rows) != list(range(n)):
         raise SingularOperatorError("matrix is singular")
-    return ExactMatrix(n, n, [x for row in rows for x in row[n:]])
+    return _solution(kernel, n, n, 2 * n)
 
 
 def column_space_basis(m: ExactMatrix) -> ExactMatrix:
     """Pivot columns of m, as a matrix; deterministic spanning subset of the image."""
-    _, pivots = rref(m)
-    if not pivots:
-        return ExactMatrix.zeros(m.rows, 0)
-    return hstack([m.block(0, m.rows, c, c + 1) for c in pivots])
+    pivots = sorted(_eliminate(m).rows)
+    return _reduced(m.rows, len(pivots), m.d,
+                    [m.z[i * m.cols + c] for i in range(m.rows) for c in pivots])
 
 
 def complete_basis(basis: ExactMatrix) -> ExactMatrix:
@@ -587,7 +648,7 @@ def complete_basis(basis: ExactMatrix) -> ExactMatrix:
     n = basis.rows
     kernel = _Echelon()
     for j in range(basis.cols):
-        kernel.add(_clear_denominators(basis.entries[j::basis.cols])[1])
+        kernel.add(basis.z[j::basis.cols])
     chosen = []
     for j in range(n):
         if len(kernel.rows) == n:
@@ -596,35 +657,34 @@ def complete_basis(basis: ExactMatrix) -> ExactMatrix:
             chosen.append(j)
     if basis.cols + len(chosen) != n:
         raise ValueError("could not complete basis")
-    return ExactMatrix(n, len(chosen), [ONE if i == j else ZERO
-                                        for i in range(n) for j in chosen])
+    return _make(n, len(chosen), 1, [(int(i == j), 0) for i in range(n) for j in chosen])
 
 
 def solve_sylvester(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
     """Unique X with aX - Xb = c; SingularOperatorError when spectra intersect.
 
-    One RREF of the Kronecker system [K | vec c]: K is nonsingular exactly
-    when the pivots are its dim columns, and then the last column is vec X.
+    One elimination of the Kronecker system [K | vec c]: K is nonsingular
+    exactly when the pivots are its dim columns, and then the last column is vec X.
     """
     s, t = a.rows, b.rows
     if a.cols != s or b.cols != t or c.rows != s or c.cols != t:
         raise ValueError("shape mismatch in Sylvester equation")
     # Row (i,j) of the Kronecker system: sum_k a[i,k] X[k,j] - sum_k X[i,k] b[k,j].
     dim = s * t
-    flat = []
+    _, (az, bz, cz) = _common([a, b, c])
+    kernel = _Echelon()
     for i in range(s):
         for j in range(t):
-            row = [ZERO] * (dim + 1)
+            row = [(0, 0)] * dim + [cz[i * t + j]]
             for k in range(s):
-                row[k * t + j] = row[k * t + j] + a.entry(i, k)
+                row[k * t + j] = az[i * s + k]
             for k in range(t):
-                row[i * t + k] = row[i * t + k] - b.entry(k, j)
-            row[dim] = c.entry(i, j)
-            flat.extend(row)
-    rows, pivots = rref(ExactMatrix(dim, dim + 1, flat))
-    if pivots != list(range(dim)):
+                row[i * t + k] = _zsub(row[i * t + k], bz[k * t + j])
+            kernel.add(row)
+    if sorted(kernel.rows) != list(range(dim)):
         raise SingularOperatorError("Sylvester operator X -> aX - Xb is singular")
-    return ExactMatrix(s, t, [row[dim] for row in rows])
+    x = _solution(kernel, dim, dim, dim + 1)
+    return _make(s, t, x.d, x.z)
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +701,7 @@ def char_poly(m: ExactMatrix):
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = m.rows
-    d, a = _clear_denominators(m.entries)
+    d, a = m.d, m.z
     coeffs = [ONE]
     mk = [(int(i == j), 0) for i in range(n) for j in range(n)]
     for k in range(1, n + 1):
@@ -665,7 +725,7 @@ def qi_roots(coeffs):
         coeffs = [c / lead for c in coeffs]
     # q(y) = d^n p(y/d) is monic over Z[i]; its roots in Q(i) are Gaussian
     # integers, d times the roots of p.
-    d = math.lcm(*(part.denominator for c in coeffs for part in (c.re, c.im)))
+    d, _ = _clear_denominators(coeffs)
     q = [(c.re.numerator * d ** k // c.re.denominator,
           c.im.numerator * d ** k // c.im.denominator)
          for k, c in enumerate(coeffs)]
@@ -718,15 +778,28 @@ def _zprimitive(f):
     """f divided by a gcd in Z[i] of its coefficients."""
     if not f:
         return f
-    c = math.gcd(*(x for z in f for x in z))
-    f = [(a // c, b // c) for a, b in f]
+    f = _primitive(f)
     # The rest h of the content divides h * conj(h), which divides the gcd
     # G of the norms; so h = gcd(G, f mod G), on numbers below G.
-    big = math.gcd(*map(_znorm, f))
+    big = 0
+    for z in f:
+        big = math.gcd(big, _znorm(z))
     h = (big, 0)
     for a, b in f:
         h = _zgcd(h, (a % big, b % big))
     return [_zdiv_exact(z, h) for z in f]
+
+
+def _primitive(vec):
+    """vec, a list of Z[i] pairs, divided by the gcd of all its components."""
+    c = 0
+    for a, b in vec:
+        c = math.gcd(c, a, b)
+        if c == 1:
+            break
+    if c <= 1:
+        return vec
+    return [(a // c, b // c) for a, b in vec]
 
 
 def _zpoly_gcd(a, b):
@@ -841,7 +914,4 @@ def qi_eigenvalues(m: ExactMatrix):
 
 
 def eigenspace_basis(m: ExactMatrix, eigenvalue: GaussRat) -> ExactMatrix:
-    vecs = mat_kernel(m.add_scalar(-eigenvalue))
-    if not vecs:
-        return ExactMatrix.zeros(m.rows, 0)
-    return hstack([ExactMatrix(m.rows, 1, v) for v in vecs])
+    return mat_kernel(m.add_scalar(-eigenvalue))

@@ -141,7 +141,9 @@ def orthogonality_test(lam):
     numerators both vanish.  Only the support of lam is visited.
     """
     ratios = [l.re.as_integer_ratio() + l.im.as_integer_ratio() for l in lam]
-    den = lcm(*(d for _, rd, _, jd in ratios for d in (rd, jd)))
+    den = 1
+    for _, rd, _, jd in ratios:
+        den = lcm(den, rd, jd)
     support = [bool(rn or jn) for rn, _, jn, _ in ratios]
     re = [rn * (den // rd) for rn, rd, jn, _ in ratios if rn or jn]
     im = [jn * (den // jd) for rn, _, jn, jd in ratios if rn or jn]

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from gadsp.numeric import (
     NonSplitError,
     SingularOperatorError,
     _lifting_prime,
+    block_diag,
     char_poly,
     complete_basis,
     gauss_parse,
@@ -27,6 +29,7 @@ from gadsp.numeric import (
     rref,
     solve_general,
     solve_sylvester,
+    vstack,
 )
 
 
@@ -92,11 +95,11 @@ def test_rank_dependent_complex_rows():
 
 
 def test_kernel_examples():
-    assert len(mat_kernel(ExactMatrix.zeros(2))) == 2
-    assert mat_kernel(ExactMatrix.identity(3)) == []
+    assert mat_kernel(ExactMatrix.zeros(2)) == ExactMatrix.identity(2)
+    assert mat_kernel(ExactMatrix.identity(3)) == ExactMatrix.zeros(3, 0)
     m = ExactMatrix.from_rows([[0, 1], [0, 0]])
     basis = mat_kernel(m)
-    assert basis == [(GaussRat(1), GaussRat(0))]
+    assert basis == ExactMatrix.from_rows([[1], [0]])
 
 
 def test_kernel_vectors_are_annihilated():
@@ -107,10 +110,9 @@ def test_kernel_vectors_are_annihilated():
         m = ExactMatrix.from_rows([[GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
                                     for _ in range(cols)] for _ in range(rows)])
         basis = mat_kernel(m)
-        assert mat_rank(m) + len(basis) == cols
-        for vec in basis:
-            col = ExactMatrix(cols, 1, vec)
-            assert (m * col).is_zero()
+        assert basis.rows == cols
+        assert mat_rank(m) + basis.cols == cols == mat_rank(m) + mat_rank(basis)
+        assert (m * basis).is_zero()
 
 
 def test_sylvester_scalar():
@@ -385,6 +387,95 @@ def test_shapes_without_entries():
     one = ExactMatrix.from_rows([[GaussRat(Fraction(2, 3), -1)]])
     assert one * one == ExactMatrix.from_rows([[GaussRat(Fraction(-5, 9), Fraction(-4, 3))]])
     assert rref(one) == ([[GaussRat(1)]], [0])
+
+
+# ---------------------------------------------------------------------------
+# ExactMatrix arithmetic against GaussRat lists, and its canonical form
+
+
+def assert_matrix(m, rows, cols, ref):
+    """m is the rows x cols matrix with GaussRat entries ref, in canonical
+    form: d > 0 and gcd(d, every numerator component) == 1."""
+    assert (m.rows, m.cols, len(m.z)) == (rows, cols, rows * cols)
+    assert m.entries == ref
+    assert [m.entry(i, j) for i in range(rows) for j in range(cols)] == ref
+    assert [x for i in range(rows) for x in m.row_list(i)] == ref
+    g = m.d
+    for re, im in m.z:
+        g = math.gcd(g, re, im)
+    assert m.d > 0 and g == 1
+
+
+def ref_block(m, r0, r1, c0, c1):
+    return [m.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)]
+
+
+@st.composite
+def arithmetic_cases(draw):
+    """Two r x c matrices, a c x k and a c x c one, and a scalar."""
+    r, c, k = draw(st.integers(0, 4)), draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (draw(structured_matrices(r, c)), draw(structured_matrices(r, c)),
+            draw(structured_matrices(c, k)), draw(structured_matrices(c, c)), draw(entries))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arithmetic_cases())
+def test_matrix_arithmetic_matches_reference(case):
+    a, b, m, sq, s = case
+    r, c, k = a.rows, a.cols, m.cols
+    ea, eb, em, esq = a.entries, b.entries, m.entries, sq.entries
+    assert_matrix(a, r, c, ea)
+    assert ExactMatrix(r, c, ea) == a
+    assert_matrix(a + b, r, c, [x + y for x, y in zip(ea, eb)])
+    assert_matrix(a - b, r, c, [x - y for x, y in zip(ea, eb)])
+    assert_matrix(-a, r, c, [-x for x in ea])
+    assert_matrix(a.scale(s), r, c, [s * x for x in ea])
+    assert_matrix(sq.add_scalar(s), c, c,
+                  [x + s if i % (c + 1) == 0 else x for i, x in enumerate(esq)])
+    assert_matrix(a * m, r, k, [sum((ea[i * c + t] * em[t * k + j] for t in range(c)),
+                                    GaussRat(0)) for i in range(r) for j in range(k)])
+    assert sq.trace() == sum((esq[i * (c + 1)] for i in range(c)), GaussRat(0))
+    assert a.is_zero() == all(not x for x in ea)
+    r0, c0 = r // 2, c // 3
+    assert_matrix(a.block(r0, r, c0, c), r - r0, c - c0, ref_block(a, r0, r, c0, c))
+    assert_matrix(hstack([a, b]), r, 2 * c,
+                  [x for i in range(r) for x in ea[i * c:(i + 1) * c] + eb[i * c:(i + 1) * c]])
+    assert_matrix(vstack([a, b]), 2 * r, c, ea + eb)
+    assert_matrix(block_diag([a, m]), r + c, c + k,
+                  [ea[i * c + j] if i < r and j < c else
+                   em[(i - r) * k + j - c] if i >= r and j >= c else GaussRat(0)
+                   for i in range(r + c) for j in range(c + k)])
+
+
+def assert_same_form(x, y):
+    assert (x.rows, x.cols, x.d, x.z) == (y.rows, y.cols, y.d, y.z)
+    assert x == y and hash(x) == hash(y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arithmetic_cases())
+def test_matrix_form_is_canonical(case):
+    a, b, _, sq, s = case
+    assert_same_form((a + b) - b, a)
+    assert_same_form(a.scale(2).scale(Fraction(1, 2)), a)
+    assert_same_form(sq.add_scalar(s).add_scalar(-s), sq)
+    if s:
+        assert_same_form(a.scale(s).scale(s.inverse()), a)
+    for zero in (a - a, a.scale(0), a + (-a), ExactMatrix.zeros(a.rows, a.cols)):
+        assert zero.d == 1 and zero.is_zero()
+        assert_same_form(zero, ExactMatrix.zeros(a.rows, a.cols))
+    if mat_rank(sq) == sq.rows:
+        assert_same_form(invert(invert(sq)), sq)
+
+
+def test_matrix_form_examples():
+    half = ExactMatrix.from_rows([[Fraction(1, 2), GaussRat(0, Fraction(1, 3))], [1, 0]])
+    assert (half.d, half.z) == (6, [(3, 0), (0, 2), (6, 0), (0, 0)])
+    assert half.scale(GaussRat(0, 6)).z == [(0, 3), (-2, 0), (0, 6), (0, 0)]
+    assert half.add_scalar(Fraction(1, 2)).z == [(6, 0), (0, 2), (6, 0), (3, 0)]
+    assert (half + half).d == 3
+    assert ExactMatrix.scalar(0, Fraction(1, 2)).d == 1
+    assert ExactMatrix.zeros(0, 3) * ExactMatrix.zeros(3, 2) == ExactMatrix.zeros(0, 2)
 
 
 def test_non_split_detection():
