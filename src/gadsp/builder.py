@@ -52,23 +52,11 @@ class QuiverInstance:
                   for i in range(self.num_poles)]
         return itertools.product(*ranges)
 
-    def multi_index_count(self) -> int:
-        count = 1
-        for i in self.i_irr:
-            count *= self.m(i)
-        return count
-
     def block_vertices(self):
         return [v for v in self.quiver.vertices if len(v) == 2]
 
     def leg_vertices(self):
         return [v for v in self.quiver.vertices if len(v) == 3]
-
-    def alpha_dict(self):
-        return {v: a for v, a in zip(self.quiver.vertices, self.alpha)}
-
-    def lambda_dict(self):
-        return {v: l for v, l in zip(self.quiver.vertices, self.lam)}
 
 
 def build_instance(data: SpectralData) -> QuiverInstance:

@@ -39,7 +39,7 @@ from .serialize import (
     verdict_to_document,
     vertex_name,
 )
-from .sigma import sigma_tilde_member
+from .sigma import DEFAULT_NODE_CAP, sigma_tilde_member
 from .spectral import SpectralDataError, normalize
 
 EXIT_SOLVABLE = 0
@@ -220,7 +220,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="decide solvability with certificates")
     p.add_argument("instance")
-    p.add_argument("--max-nodes", type=int, default=10_000_000)
+    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--reduce", action="store_true",
                    help="include a reflection-reduction trace when solvable")

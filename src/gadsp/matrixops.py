@@ -209,7 +209,7 @@ def htl_reduce(part, order):
     pmat = hstack(bases)
     g0 = invert(pmat)
     total = [g0] + [ExactMatrix.zeros(n)] * (order - 1)
-    cur = gauge_conjugate(total, part, order)
+    cur = [g0 * m * pmat for m in part]
 
     # Each gauge step solves u_rc = target_rc / (v_i - v_j) on the blocks
     # (i, j), i != j: the entrywise product with one matrix of the inverses.
@@ -890,6 +890,7 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
                       t.orders[0])
 
     facts = {}
+    u0 = {}   # u_i[0], the constant term of pole i's gauge: g_const inverted
     for i in sorted(inst.i_irr):
         if i == 0:
             form, gauge = form0, gauge0
@@ -899,6 +900,7 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
         fact = factor_pole(parts[i], t.orders[i], form, gauge)
         facts[i] = PoleFactorization(i, fact.a_part, fact.form, fact.g_const,
                                      fact.q_coeffs, fact.p_coeffs)
+        u0[i] = gauge[0]
 
     q = inst.quiver
     dims = list(inst.alpha)
@@ -929,11 +931,10 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
         if len(src) == 2 and len(tgt) == 2 and src[0] == 0 and tgt[0] != 0:
             i, jp = tgt
             j = src[1]
-            g_inv = invert(facts[i].g_const)   # = u_i[0]
             x1g = parts[i][0] * facts[i].g_const
             rt0, rt1 = ranges[i][jp - 1]
             cs0, cs1 = ranges[0][j - 1]
-            psi[a] = g_inv.block(rt0, rt1, cs0, cs1)
+            psi[a] = u0[i].block(rt0, rt1, cs0, cs1)
             psi_star[a] = -(x1g.block(cs0, cs1, rt0, rt1))
         elif len(src) == 2 and len(tgt) == 2:
             i = src[0]

@@ -30,11 +30,9 @@ from .roots import (
     SearchCapExceeded,
     box_volume,
     DEFAULT_BOX_VOLUME_CAP,
-    DEFAULT_WORK_CAP,
     is_root,
     positive_roots_in_box,
     quasi_fundamental_test,
-    lift_xi,
 )
 
 DEFAULT_NODE_CAP = 10_000_000
@@ -70,40 +68,36 @@ class Verdict:
         return self.solvable
 
 
-# The root table of the last (quiver, alpha) enumerated, with the work its
-# build consumed: ((quiver, alpha), table, work), or None.  Both memberships
-# of one instance share it; only one table is kept alive.
+# The root table of the last (quiver, alpha) enumerated: ((quiver, alpha),
+# table), or None.  Both memberships of one instance share it; only one
+# table is kept alive.  Every build runs under the same fixed work cap, so a
+# stored table is exactly what a fresh build would return.
 _last_table = None
 
 
-def _root_table(q: Quiver, alpha, work_cap):
-    """positive_roots_in_box(q, alpha) under a budget of work_cap.
+def _root_table(q: Quiver, alpha):
+    """positive_roots_in_box(q, alpha), reused while (q, alpha) matches.
 
-    A build trips the cap exactly when work_cap is below the work the full
-    build consumes, so a stored table is reused only when work_cap covers
-    its recorded work; otherwise the table is rebuilt and raises as a fresh
-    build does.  Callers must not modify the table.
+    A build that raises stores nothing.  Callers must not modify the table.
     """
     global _last_table
     key, memo = (q, alpha), _last_table
-    if memo is not None and memo[0] == key and memo[2] <= work_cap:
+    if memo is not None and memo[0] == key:
         return memo[1]
     _last_table = None
-    budget = [work_cap]
-    table = positive_roots_in_box(q, alpha, budget)
-    _last_table = (key, table, work_cap - budget[0])
+    table = positive_roots_in_box(q, alpha)
+    _last_table = (key, table)
     return table
 
 
-def _decomposition_candidates(q: Quiver, alpha, lam, lattice_filter,
-                              box_cap, work_cap):
+def _decomposition_candidates(q: Quiver, alpha, lam, lattice_filter):
     """The proper orthogonal candidate parts of alpha, as a dict from each
     part to its p-value, ordered by decreasing p-value, then
     lexicographically: the first optimal decomposition found is canonical."""
-    if box_volume(alpha) > box_cap:
+    if box_volume(alpha) > DEFAULT_BOX_VOLUME_CAP:
         raise SearchCapExceeded("decomposition box volume above configured limit")
     alpha = tuple(alpha)
-    roots = _root_table(q, alpha, work_cap)
+    roots = _root_table(q, alpha)
     picked = [beta for beta in roots if beta != alpha]
     if lattice_filter is not None:
         picked = list(filter(lattice_filter, picked))
@@ -168,8 +162,8 @@ def _best_decomposition(alpha, p_of, node_cap):
     return value, tuple(parts), nodes
 
 
-def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap, box_cap,
-                work_cap, lattice_label=""):
+def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap):
+    lattice_label = "" if lattice_filter is None else " lattice"
     reasons = []
     nonneg = all(a >= 0 for a in alpha) and any(alpha)
     kind = is_root(q, alpha).kind if nonneg else "not_root"
@@ -185,8 +179,7 @@ def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap, box_cap,
         reasons.append("FAIL: alpha . lambda != 0")
         return Verdict(False, tuple(reasons))
     reasons.append("pass: alpha . lambda = 0")
-    candidates = _decomposition_candidates(q, alpha, lam, lattice_filter,
-                                           box_cap, work_cap)
+    candidates = _decomposition_candidates(q, alpha, lam, lattice_filter)
     p_alpha = tits(q, alpha)[1]
     best, parts, nodes = _best_decomposition(alpha, candidates, node_cap)
     if best is not None and best >= p_alpha:
@@ -203,24 +196,20 @@ def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap, box_cap,
                    ExhaustiveWitness(len(candidates), nodes))
 
 
-def sigma_member(q: Quiver, alpha, lam, node_cap=DEFAULT_NODE_CAP,
-                 box_cap=DEFAULT_BOX_VOLUME_CAP,
-                 work_cap=DEFAULT_WORK_CAP) -> Verdict:
+def sigma_member(q: Quiver, alpha, lam, node_cap=DEFAULT_NODE_CAP) -> Verdict:
     """Plain membership: decomposition parts range over all positive
     roots orthogonal to lambda, with no lattice restriction."""
-    return _membership(q, alpha, lam, None, node_cap, box_cap, work_cap)
+    return _membership(q, alpha, lam, None, node_cap)
 
 
-def sigma_tilde_member(inst: QuiverInstance, node_cap=DEFAULT_NODE_CAP,
-                       box_cap=DEFAULT_BOX_VOLUME_CAP,
-                       work_cap=DEFAULT_WORK_CAP) -> Verdict:
+def sigma_tilde_member(inst: QuiverInstance, node_cap=DEFAULT_NODE_CAP) -> Verdict:
     """Lattice-restricted membership; this is the solvability criterion."""
     return _membership(inst.quiver, inst.alpha, inst.lam, lattice_test(inst),
-                       node_cap, box_cap, work_cap, lattice_label=" lattice")
+                       node_cap)
 
 
-def validate_decomposition(inst: QuiverInstance, cert: ViolatingDecomposition,
-                           restrict_lattice=True) -> bool:
+def validate_decomposition(inst: QuiverInstance,
+                           cert: ViolatingDecomposition) -> bool:
     """Re-check a violating decomposition certificate from scratch."""
     q = inst.quiver
     total = [0] * len(q.vertices)
@@ -230,7 +219,7 @@ def validate_decomposition(inst: QuiverInstance, cert: ViolatingDecomposition,
             return False
         if any(x < 0 for x in part) or not any(part):
             return False
-        if restrict_lattice and not lattice_member(inst, part):
+        if not lattice_member(inst, part):
             return False
         if dot(part, inst.lam):
             return False
@@ -264,7 +253,6 @@ class ReductionTrace:
     terminal_kind: str = ""   # "unit-composite" | "unit-leg" | "quasi-fundamental" | ""
     terminal_at: tuple = ()
     terminal: tuple = ()      # final (alpha, lambda)
-    terminal_lift: object = None
 
 
 def _unit_composite(inst, alpha):
@@ -315,16 +303,15 @@ def reduce_pair(inst: QuiverInstance, verdict: Verdict) -> ReductionTrace:
     for _ in range(cap):
         mi = _unit_composite(inst, alpha)
         if mi is not None:
-            lift = lift_xi(inst, alpha)
             return ReductionTrace(True, tuple(steps), "unit-composite", mi,
-                                  (alpha, lam), lift)
+                                  (alpha, lam))
         leg = _unit_leg(inst, alpha)
         if leg is not None:
             return ReductionTrace(True, tuple(steps), "unit-leg", leg,
-                                  (alpha, lam), lift_xi(inst, alpha))
+                                  (alpha, lam))
         if quasi_fundamental_test(inst, alpha):
             return ReductionTrace(True, tuple(steps), "quasi-fundamental", (),
-                                  (alpha, lam), lift_xi(inst, alpha))
+                                  (alpha, lam))
         step = _find_reflection(inst, alpha, lam)
         if step is None:
             raise ReductionError("no legal reflection available (stuck)")

@@ -225,7 +225,7 @@ def _canonical_block_order(blocks, order):
     return tuple(sorted(blocks, key=lambda b: b.q_sort_key(order)))
 
 
-def make_spectral_data(rank, poles, validate_xi=True) -> SpectralData:
+def make_spectral_data(rank, poles) -> SpectralData:
     """Validate raw pole data, canonicalize block order, resolve xi sequences."""
     if rank < 1:
         raise SpectralDataError("rank must be positive")
@@ -259,8 +259,7 @@ def make_spectral_data(rank, poles, validate_xi=True) -> SpectralData:
         resolved = []
         for blk in _canonical_block_order(pole.blocks, pole.order):
             if blk.xi:
-                ranks = rank_sequence(blk.residue, blk.xi) if validate_xi else blk.ranks
-                resolved.append(replace(blk, ranks=ranks))
+                resolved.append(replace(blk, ranks=rank_sequence(blk.residue, blk.xi)))
             else:
                 xi, ranks = select_xi(blk.residue)
                 resolved.append(replace(blk, xi=xi, ranks=ranks))

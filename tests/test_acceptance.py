@@ -363,7 +363,7 @@ def test_acceptance_8_verdict_invariance():
                 alpha2, lam2 = trace.steps[0].after
                 after = _membership(inst.quiver, alpha2, lam2,
                                     lambda b: lattice_member(inst, b),
-                                    10_000_000, 5_000_000, 10_000_000)
+                                    10_000_000)
                 assert after.solvable
                 reduced_checked += 1
         done += 1

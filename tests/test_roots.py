@@ -32,6 +32,7 @@ from gadsp.roots import (
     replay_witness,
     xi_image,
 )
+from gadsp import sigma
 from gadsp.serialize import parse_spectral
 from gadsp.sigma import sigma_member
 from gadsp.spectral import normalize
@@ -127,10 +128,11 @@ def _solved_instance():
     return build_instance(data)
 
 
-def test_enum_box_cap():
+def test_enum_box_cap(monkeypatch):
     inst = _solved_instance()
+    monkeypatch.setattr(sigma, "DEFAULT_BOX_VOLUME_CAP", 10)
     with pytest.raises(SearchCapExceeded, match="box volume above configured limit"):
-        sigma_member(inst.quiver, inst.alpha, inst.lam, box_cap=10)
+        sigma_member(inst.quiver, inst.alpha, inst.lam)
 
 
 def _d4_like_instance():

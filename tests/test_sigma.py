@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from gadsp.builder import add_shift, build_instance, perm_xi
 from gadsp.gensamples import random_fuchsian_data, random_instance_data
 from gadsp.numeric import GaussRat
 from gadsp.quiver import Quiver, tits
-from gadsp import sigma
+from gadsp import roots, sigma
 from gadsp.roots import SearchCapExceeded, fundamental_in_box, positive_roots_in_box
 from gadsp.serialize import parse_spectral
 from gadsp.sigma import (
@@ -59,6 +60,42 @@ def test_orthogonality_failure():
     v = sigma_member(q, (2, 1, 1, 1, 1), lam)
     assert not v.solvable
     assert any("lambda" in r for r in v.reasons if r.startswith("FAIL"))
+
+
+def test_alpha_lambda_rejection():
+    # alpha . lambda is summed over Q(i): the real and the imaginary sums
+    # must both vanish, and lambda values off alpha's support never count.
+    inst = nonresonant_hypergeometric()
+    assert inst.alpha == (2, 1, 1, 1)
+
+    def g(re, im):
+        return GaussRat(Fraction(re), Fraction(im))
+
+    def verdicts(alpha, lam):
+        case = replace(inst, alpha=alpha, lam=lam)
+        return (sigma_member(case.quiver, alpha, lam), sigma_tilde_member(case))
+
+    rejected = (
+        # real parts cancel on alpha (2/6 - 1/3), imaginary ones do not
+        (g("1/6", "1/4"), g("-1/3", "1/5"), g(0, 0), g(0, 0)),
+        # imaginary parts cancel on alpha (2/4 - 1/2), real ones do not
+        (g("1/6", "1/4"), g("1/7", "-1/2"), g(0, 0), g(0, 0)),
+    )
+    for lam in rejected:
+        for v in verdicts(inst.alpha, lam):
+            assert not v.solvable and v.certificate is None
+            assert v.reasons[-1] == "FAIL: alpha . lambda != 0"
+    accepted = (
+        # both sums cancel, over mixed denominators
+        ((2, 1, 1, 1),
+         (g("1/6", "1/4"), g("-1/3", "-1/2"), g("-2/15", "3/7"), g("2/15", "-3/7"))),
+        # lambda is zero on the support of the root (1, 1, 0, 0)
+        ((1, 1, 0, 0), (g(0, 0), g(0, 0), g("1/3", "1/2"), g("-1/5", "2/7"))),
+    )
+    for alpha, lam in accepted:
+        for v in verdicts(alpha, lam):
+            assert "pass: alpha . lambda = 0" in v.reasons
+            assert not any(r.startswith("FAIL: alpha . lambda") for r in v.reasons)
 
 
 def test_non_root_alpha():
@@ -215,7 +252,7 @@ def test_reduction_step_invariance():
     alpha2, lam2 = first.after
     v2 = _membership(inst.quiver, alpha2, lam2,
                      lambda b: lattice_member(inst, b),
-                     10_000_000, 5_000_000, 10_000_000)
+                     10_000_000)
     assert v2.solvable
 
 
@@ -320,31 +357,34 @@ def test_both_memberships_share_one_table(monkeypatch):
     assert sigma_member(inst.quiver, inst.alpha, inst.lam) == b
 
 
-def test_table_hit_below_recorded_work_raises_as_fresh_build(monkeypatch):
-    builds = _count_builds(monkeypatch)
+def test_work_cap_below_one_build_raises_as_fresh_build(monkeypatch):
     inst = nonresonant_hypergeometric()
     q, alpha, lam = inst.quiver, inst.alpha, inst.lam
     expected = sigma_member(q, alpha, lam)
-    work = sigma._last_table[2]
+    build = [10**9]
+    positive_roots_in_box(q, alpha, build)
+    work = 10**9 - build[0]
     scan = [10**9]
     fundamental_in_box(q, alpha, scan)
     scan_work = 10**9 - scan[0]
     assert 0 < scan_work < work
+    messages = set()
     for cap in (work - 1, scan_work - 1):
         message = _cap_message(q, alpha, cap)
-        sigma_member(q, alpha, lam)          # the table is stored again
+        monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", cap)
+        monkeypatch.setattr(sigma, "_last_table", None)
         with pytest.raises(SearchCapExceeded) as info:
-            sigma_member(q, alpha, lam, work_cap=cap)
+            sigma_member(q, alpha, lam)
         assert str(info.value) == message
         assert sigma._last_table is None     # a failed build stores nothing
-    assert {_cap_message(q, alpha, work - 1),
-            _cap_message(q, alpha, scan_work - 1)} == {
-        "root closure budget exhausted", "fundamental-set scan budget exhausted"}
-    # a cap equal to the recorded work is a hit
-    sigma_member(q, alpha, lam)
-    count = len(builds)
-    assert sigma_member(q, alpha, lam, work_cap=work) == expected
-    assert len(builds) == count
+        messages.add(message)
+    assert messages == {"root closure budget exhausted",
+                        "fundamental-set scan budget exhausted"}
+    # a cap equal to one build's work suffices, and the table is stored
+    monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work)
+    monkeypatch.setattr(sigma, "_last_table", None)
+    assert sigma_member(q, alpha, lam) == expected
+    assert sigma._last_table == ((q, alpha), positive_roots_in_box(q, alpha))
 
 
 def test_quivers_with_equal_alpha_never_share_a_table(monkeypatch):
@@ -357,7 +397,7 @@ def test_quivers_with_equal_alpha_never_share_a_table(monkeypatch):
     verdicts = [sigma_member(q, alpha, lam) for q in (a2, kronecker, triple)]
     assert [q for q, _ in builds] == [a2, kronecker, triple]
     for q in (a2, kronecker, triple):
-        table = sigma._root_table(q, alpha, 10**6)
+        table = sigma._root_table(q, alpha)
         assert table == positive_roots_in_box(q, alpha)
     # (1, 1) is real for A2 and imaginary for two or more arrows; the
     # simple roots decompose it with p-sum 0, at least p(alpha) only for A2
