@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .numeric import GaussRat, ZERO
 from .quiver import Quiver, dot, reflect_dim, reflect_param
-from .spectral import SpectralData, d_value, shift_pole, swap_xi
+from .spectral import SpectralData, shift_pole, swap_xi
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,7 @@ class QuiverInstance:
         return self.data.e(i, j)
 
     def d(self, i: int, j: int, jp: int) -> int:
-        pole = self.data.poles[i]
-        return d_value(pole.blocks[j - 1], pole.blocks[jp - 1], pole.order)
+        return self.data.d(i, j, jp)
 
     def multi_indices(self):
         """All multi-indices, lazily; regular poles are pinned to block 1."""
@@ -84,11 +83,9 @@ def build_instance(data: SpectralData) -> QuiverInstance:
             for jp in range(1, data.m(i) + 1):
                 arrows.append(((0, j), (i, jp)))
     for i in sorted(i_irr):
-        pole = data.poles[i]
-        for j in range(1, pole.m + 1):
-            for jp in range(j + 1, pole.m + 1):
-                mult = d_value(pole.blocks[j - 1], pole.blocks[jp - 1], pole.order)
-                arrows.extend([((i, j), (i, jp))] * mult)
+        for j in range(1, data.m(i) + 1):
+            for jp in range(j + 1, data.m(i) + 1):
+                arrows.extend([((i, j), (i, jp))] * data.d(i, j, jp))
     for i in sorted(i_irr):
         for j in range(1, data.m(i) + 1):
             if data.e(i, j) >= 2:

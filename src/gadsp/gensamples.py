@@ -70,10 +70,6 @@ def _total_trace(poles):
     return acc
 
 
-def _shift_jordan(res: ResidueSpec, delta):
-    return res.shifted(delta)
-
-
 def random_fuchsian_data(rng, n=None, p=None, pool=POOL) -> SpectralData:
     """Random Fuchsian instance (all pole orders 1) with zero trace sum."""
     if n is None:
@@ -89,7 +85,7 @@ def random_fuchsian_data(rng, n=None, p=None, pool=POOL) -> SpectralData:
         delta = -(trace / GaussRat(n))
         blk = poles[0].blocks[0]
         poles[0] = PoleData(INFINITY, 1,
-                            (IrregularBlock((), n, _shift_jordan(blk.residue, delta)),))
+                            (IrregularBlock((), n, blk.residue.shifted(delta)),))
     return make_spectral_data(n, tuple(poles))
 
 
@@ -122,8 +118,7 @@ def random_irregular_pole(rng, label, n, order, pool=POOL, min_blocks=1) -> Pole
     return PoleData(label, order, tuple(blocks))
 
 
-def random_instance_data(rng, n=None, p=None, max_order=3, pool=POOL,
-                         force_trace_zero=True) -> SpectralData:
+def random_instance_data(rng, n=None, p=None, max_order=3, pool=POOL) -> SpectralData:
     """Random instance mixing regular and irregular poles."""
     if n is None:
         n = rng.randint(1, 3)
@@ -143,15 +138,13 @@ def random_instance_data(rng, n=None, p=None, max_order=3, pool=POOL,
                                   (IrregularBlock((), n, random_jordan(rng, n, pool)),)))
         else:
             poles.append(random_irregular_pole(rng, "a%d" % i, n, order, pool))
-    if force_trace_zero:
-        trace = _total_trace(poles)
-        if trace:
-            # Add -trace/(n x) at infinity: every block residue shifts.
-            delta = -(trace / GaussRat(n))
-            blocks0 = tuple(IrregularBlock(blk.q_coeffs, blk.size,
-                                           _shift_jordan(blk.residue, delta))
-                            for blk in poles[0].blocks)
-            poles[0] = PoleData(INFINITY, poles[0].order, blocks0)
+    trace = _total_trace(poles)
+    if trace:
+        # Add -trace/(n x) at infinity: every block residue shifts.
+        delta = -(trace / GaussRat(n))
+        blocks0 = tuple(IrregularBlock(blk.q_coeffs, blk.size, blk.residue.shifted(delta))
+                        for blk in poles[0].blocks)
+        poles[0] = PoleData(INFINITY, poles[0].order, blocks0)
     return make_spectral_data(n, tuple(poles))
 
 
@@ -269,11 +262,11 @@ def _distinct_scalars(rng, count, pool):
     return values[:count]
 
 
-def random_lattice_vector(rng, inst, max_level=3, max_leg=3):
+def random_lattice_vector(rng, inst):
     """A random non-negative member of the level-sum lattice."""
     q = inst.quiver
     out = [0] * len(q.vertices)
-    level = rng.randint(0, max_level)
+    level = rng.randint(0, 3)
     for i in sorted(inst.i_irr):
         rest = level
         js = list(range(1, inst.m(i) + 1))
@@ -282,7 +275,7 @@ def random_lattice_vector(rng, inst, max_level=3, max_leg=3):
             out[q.index((i, j))] = take
             rest -= take
     for v in inst.leg_vertices():
-        out[q.index(v)] = rng.randint(0, max_leg)
+        out[q.index(v)] = rng.randint(0, 3)
     return tuple(out)
 
 

@@ -68,43 +68,50 @@ def poly_mul(a, b, order):
     return out
 
 
-def poly_inverse(g, order):
-    """Inverse of g modulo x^order; g[0] must be invertible."""
-    n = g[0].rows
-    h0 = invert(g[0])
-    out = [h0] + [ExactMatrix.zeros(n) for _ in range(order - 1)]
+def poly_inverse(u, order):
+    """Inverse of a unipotent gauge u (u[0] = 1) modulo x^order."""
+    n = u[0].rows
+    if u[0] != ExactMatrix.identity(n):
+        raise AssertionError("poly_inverse needs a unipotent gauge (bug)")
+    out = [u[0]] + [ExactMatrix.zeros(n) for _ in range(order - 1)]
     for s in range(1, order):
         acc = ExactMatrix.zeros(n)
         for t in range(1, s + 1):
-            if t < len(g) and not g[t].is_zero():
-                acc = acc + g[t] * out[s - t]
-        out[s] = -(h0 * acc)
+            if t < len(u) and not u[t].is_zero():
+                acc = acc + u[t] * out[s - t]
+        out[s] = -acc
     return out
 
 
-def gauge_conjugate(g, part, order, ginv=None):
+def unipotent_conjugate(u, part, order):
+    """u . A . u^{-1} truncated to the x^-1..x^-order window, for u[0] = 1.
+
+    The conjugate B satisfies B u = u A, so from the top power down
+    B_j = A_j + sum_{a>=1} (u_a A_{j+a} - B_{j+a} u_a): no inverse of u is
+    needed.
+    """
+    out = list(part)
+    for j in range(order - 1, 0, -1):
+        for a in range(1, min(order - j, len(u) - 1) + 1):
+            if u[a].is_zero():
+                continue
+            if not part[j + a - 1].is_zero():
+                out[j - 1] = out[j - 1] + u[a] * part[j + a - 1]
+            if not out[j + a - 1].is_zero():
+                out[j - 1] = out[j - 1] - out[j + a - 1] * u[a]
+    return out
+
+
+def gauge_conjugate(g, part, order):
     """g . A . g^{-1} truncated to the x^-1..x^-order window.
 
     part[j-1] is the x^-j coefficient; g is a polynomial gauge of length
-    <= order with invertible constant term.
+    <= order with invertible constant term.  With u = g g_0^{-1} this is
+    u (g_0 A g_0^{-1}) u^{-1}.
     """
-    if ginv is None:
-        ginv = poly_inverse(g, order)
-    n = part[0].rows
-    out = [ExactMatrix.zeros(n) for _ in range(order)]
-    for b in range(1, order + 1):
-        ab = part[b - 1]
-        if ab.is_zero():
-            continue
-        for a in range(0, b):
-            if a >= len(g) or g[a].is_zero():
-                continue
-            ga = g[a] * ab
-            for c in range(0, b - a):
-                j = b - a - c
-                if c < len(ginv) and not ginv[c].is_zero():
-                    out[j - 1] = out[j - 1] + ga * ginv[c]
-    return out
+    h0 = invert(g[0])
+    return unipotent_conjugate([x * h0 for x in g], [g[0] * m * h0 for m in part],
+                               order)
 
 
 def poly_times_part(g, part, order):
@@ -226,7 +233,7 @@ def htl_reduce(part, order):
             continue
         g = poly_identity(n, order)
         g[s] = _reduced(n, n, target.d * gaps.d, u)
-        cur = gauge_conjugate(g, cur, order)
+        cur = unipotent_conjugate(g, cur, order)
         total = poly_mul(g, total, order)
 
     blocks = []
@@ -273,37 +280,43 @@ def orbit_spec_from_data(data: SpectralData, i: int) -> OrbitSpec:
 
 
 def orbit_member(part, spec: OrbitSpec) -> bool:
-    """Membership of a pole part in the truncated orbit described by spec.
+    """Membership of a pole part in the truncated orbit described by spec."""
+    return _orbit_reduction(part, spec) is not None
+
+
+def _orbit_reduction(part, spec: OrbitSpec):
+    """The reduction (form, gauge) of a pole part in the orbit of spec, or
+    None when the part is not in that orbit.
 
     Decided by gauge reduction plus residue rank sequences against the
     annihilating sequence: the polynomial parts must match block for block
     and each reduced residue must reproduce the prescribed rank sequence.
     """
     try:
-        form, _ = htl_reduce(part, spec.order)
+        form, gauge = htl_reduce(part, spec.order)
     except NonSplitError:
-        return False
+        return None
     want = {}
     for blk in spec.blocks:
         if blk.size > 0:
             want[blk.q_coeffs] = blk
     have = {b.q_coeffs: b for b in form.blocks if b.size > 0}
     if set(want) != set(have):
-        return False
+        return None
     for key, blk in want.items():
         red = have[key]
         if red.size != blk.size:
-            return False
+            return None
         prod = ExactMatrix.identity(red.size)
         for l, (xi_l, r_l) in enumerate(zip(blk.xi, blk.ranks), start=1):
             prod = prod * red.residue.add_scalar(-xi_l)
             if l == 1 and blk.head_free:
                 continue
             if mat_rank(prod) != r_l:
-                return False
+                return None
         if not prod.is_zero():
-            return False
-    return True
+            return None
+    return form, gauge
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +667,7 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
         for j in range(1, pole.m + 1):
             blk = pole.blocks[j - 1]
             if j != mi[i]:
-                d = _d_of(data, i, j, mi[i])
+                d = data.d(i, j, mi[i])
                 shift = (d + 2) * xi_mi if i != 0 else d * xi_mi
                 xi_new[(i, j)] = tuple(x + shift for x in blk.xi)
             elif i != 0:
@@ -688,12 +701,6 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
         (inf[0].add_scalar(-2 * xi_mi),) + inf[1:],) + restored.parts[1:])
     output.check_residue_sum()
     return McResult(output, dim_w, n_shift, xi_new, tuple(predicted))
-
-
-def _d_of(data: SpectralData, i, j, jp):
-    from .spectral import d_value
-    pole = data.poles[i]
-    return d_value(pole.blocks[j - 1], pole.blocks[jp - 1], pole.order)
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +789,7 @@ def _graded_part(m, form, level, side):
     return _reduced(n, n, m.d, out)
 
 
-def factor_pole(part, order, form: HtlForm, gauge):
+def factor_pole(pole, part, order, form: HtlForm, gauge):
     """Unipotent-lower / graded-parabolic factorization data for one pole.
 
     gauge[X] = form with X the (already normalized) pole part.  Produces the
@@ -794,7 +801,7 @@ def factor_pole(part, order, form: HtlForm, gauge):
     g0 = gauge[0]
     g0_inv = invert(g0)
     a_part = [g0 * m * g0_inv for m in part]
-    v = poly_mul(gauge, [g0_inv] + [ExactMatrix.zeros(n)] * (order - 1), order)
+    v = [g * g0_inv for g in gauge]
     g_low = poly_inverse(v, order)  # the G^o gauge carrying pr_irr(A) to the form
 
     u_minus = poly_identity(n, order)
@@ -815,7 +822,7 @@ def factor_pole(part, order, form: HtlForm, gauge):
     a_prime = poly_times_part(u_minus_inv, irr, order)
     p_coeffs = tuple(_graded_part(a_prime[s], form, s + 1, -1)
                      for s in range(1, max(order - 1, 1)))
-    return PoleFactorization(-1, tuple(a_part), form, g0_inv, q_coeffs, p_coeffs)
+    return PoleFactorization(pole, tuple(a_part), form, g0_inv, q_coeffs, p_coeffs)
 
 
 def residue_identity_holds(fact: PoleFactorization) -> bool:
@@ -876,31 +883,23 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
     t.check_residue_sum()
     if t.n != data.rank or t.orders != tuple(p.order for p in data.poles):
         raise OrbitMismatchError("tuple shape does not match the instance")
-    for i in range(len(data.poles)):
-        if not orbit_member(list(t.parts[i]), orbit_spec_from_data(data, i)):
-            raise OrbitMismatchError("pole %d is not in its prescribed orbit" % i)
-
-    n = t.n
-    form0, gauge0 = htl_reduce(list(t.parts[0]), t.orders[0])
+    # Every part is conjugated by the constant term c of pole 0's gauge, and
+    # pole 0's reduction is transported so that its constant term is 1; the
+    # other poles are reduced in that frame.  Orbit membership is invariant
+    # under a constant conjugation, so the verdicts do not depend on it.
+    form0, gauge0 = _pole_reduction(list(t.parts[0]), data, 0)
     c = gauge0[0]
     c_inv = invert(c)
     parts = [[c * m * c_inv for m in part] for part in t.parts]
-    # Pole 0 keeps its reduction, transported so the constant term is 1.
-    gauge0 = poly_mul(gauge0, [c_inv] + [ExactMatrix.zeros(n)] * (t.orders[0] - 1),
-                      t.orders[0])
+    reductions = {0: (form0, [g * c_inv for g in gauge0])}
+    for i in range(1, len(parts)):
+        reductions[i] = _pole_reduction(parts[i], data, i)
 
     facts = {}
-    u0 = {}   # u_i[0], the constant term of pole i's gauge: g_const inverted
     for i in sorted(inst.i_irr):
-        if i == 0:
-            form, gauge = form0, gauge0
-        else:
-            form, gauge = htl_reduce(parts[i], t.orders[i])
+        form, gauge = reductions[i]
         _check_form_matches(form, data, i)
-        fact = factor_pole(parts[i], t.orders[i], form, gauge)
-        facts[i] = PoleFactorization(i, fact.a_part, fact.form, fact.g_const,
-                                     fact.q_coeffs, fact.p_coeffs)
-        u0[i] = gauge[0]
+        facts[i] = factor_pole(i, parts[i], t.orders[i], form, gauge)
 
     q = inst.quiver
     dims = list(inst.alpha)
@@ -919,13 +918,11 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
             if blk.e < 2:
                 continue
             if i in inst.i_irr:
-                r0, r1 = ranges[i][j - 1]
                 s_mat = facts[i].form.blocks[j - 1].residue
             else:
                 s_mat = parts[i][0]
             bases = _image_chain(s_mat, blk.xi)
-            maps = _leg_maps(s_mat, blk.xi, bases)
-            leg_data[(i, j)] = (s_mat, bases, maps)
+            leg_data[(i, j)] = (bases, _leg_maps(s_mat, blk.xi, bases))
 
     for a, (src, tgt) in enumerate(q.arrows):
         if len(src) == 2 and len(tgt) == 2 and src[0] == 0 and tgt[0] != 0:
@@ -934,7 +931,8 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
             x1g = parts[i][0] * facts[i].g_const
             rt0, rt1 = ranges[i][jp - 1]
             cs0, cs1 = ranges[0][j - 1]
-            psi[a] = u0[i].block(rt0, rt1, cs0, cs1)
+            u0 = reductions[i][1][0]  # pole i's gauge at x^0: g_const inverted
+            psi[a] = u0.block(rt0, rt1, cs0, cs1)
             psi_star[a] = -(x1g.block(cs0, cs1, rt0, rt1))
         elif len(src) == 2 and len(tgt) == 2:
             i = src[0]
@@ -945,21 +943,17 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
             c0, c1 = ranges[i][j - 1]
             psi[a] = fact.q_coeffs[kappa].block(r0, r1, c0, c1)
             psi_star[a] = fact.p_coeffs[kappa].block(c0, c1, r0, r1)
-        elif len(src) == 3 and len(tgt) == 2 and tgt == (src[0], src[1]):
-            i, j, _k = src
-            _, _, (leg_psi, leg_psi_star) = leg_data[(i, j)]
-            psi[a] = leg_psi[0]
-            psi_star[a] = leg_psi_star[0]
-        elif len(src) == 3 and len(tgt) == 3:
+        elif len(src) == 3 and tgt[0] == src[0]:
+            # leg arrow [i,j,k] -> [i,j,k-1], where [i,j,0] is [i,j]
             i, j, k = src
-            _, _, (leg_psi, leg_psi_star) = leg_data[(i, j)]
+            _, (leg_psi, leg_psi_star) = leg_data[(i, j)]
             psi[a] = leg_psi[k - 1]
             psi_star[a] = leg_psi_star[k - 1]
         else:
             # regular-pole bridge [i,1,1] -> [0,j]
             i = src[0]
             j = tgt[1]
-            _, bases, _ = leg_data[(i, 1)]
+            bases, _ = leg_data[(i, 1)]
             c0, c1 = ranges[0][j - 1]
             basis = bases[0]
             psi[a] = basis.block(c0, c1, 0, basis.cols)
@@ -970,6 +964,14 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
     rep = QuiverRep(tuple(dims), tuple(psi), tuple(psi_star))
     _check_rep_shapes(inst, rep)
     return rep, facts
+
+
+def _pole_reduction(part, data: SpectralData, i: int):
+    """_orbit_reduction of pole i's part, or OrbitMismatchError naming pole i."""
+    red = _orbit_reduction(part, orbit_spec_from_data(data, i))
+    if red is None:
+        raise OrbitMismatchError("pole %d is not in its prescribed orbit" % i)
+    return red
 
 
 def _parallel_index(arrows, a):

@@ -210,6 +210,10 @@ class SpectralData:
     def e(self, i: int, j: int) -> int:
         return self.block(i, j).e
 
+    def d(self, i: int, j: int, jp: int) -> int:
+        """d_value of blocks j and jp (1-based) of pole i."""
+        return d_value(self.block(i, j), self.block(i, jp), self.poles[i].order)
+
 
 def d_value(block_a: IrregularBlock, block_b: IrregularBlock, order: int) -> int:
     """deg(q_a - q_b) - 2 for distinct blocks of one pole; -1 when q's coincide."""

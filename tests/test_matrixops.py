@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from gadsp.builder import build_instance
 from gadsp.gensamples import (
+    pick,
     random_gauge,
     random_htl_form,
     random_invertible,
@@ -32,11 +33,22 @@ from gadsp.matrixops import (
     orbit_spec_from_data,
     poly_inverse,
     poly_mul,
+    poly_times_part,
     residue_identity_holds,
     sizeof_w_from_forms,
     to_quiver_rep,
+    tuple_from_data,
+    unipotent_conjugate,
 )
-from gadsp.numeric import ExactMatrix, GaussRat, ZERO, invert, mat_rank, qi_eigenvalues
+from gadsp.numeric import (
+    ExactMatrix,
+    GaussRat,
+    NonSplitError,
+    ZERO,
+    invert,
+    mat_rank,
+    qi_eigenvalues,
+)
 from gadsp.quiver import reflect_composite
 from gadsp.spectral import IrregularBlock, PoleData, ResidueSpec, make_spectral_data
 
@@ -46,10 +58,75 @@ def test_poly_inverse_roundtrip():
     for _ in range(10):
         n, order = rng.randint(1, 3), rng.randint(1, 4)
         g = random_gauge(rng, n, order)
-        gi = poly_inverse(g, order)
-        prod = poly_mul(g, gi, order)
-        assert prod[0] == ExactMatrix.identity(n)
-        assert all(m.is_zero() for m in prod[1:])
+        h0 = invert(g[0])
+        u = [m * h0 for m in g]  # g g_0^{-1}: unipotent
+        ui = poly_inverse(u, order)
+        for prod in (poly_mul(u, ui, order), poly_mul(ui, u, order)):
+            assert prod[0] == ExactMatrix.identity(n)
+            assert all(m.is_zero() for m in prod[1:])
+        if g[0] != ExactMatrix.identity(n):
+            with pytest.raises(AssertionError, match="unipotent"):
+                poly_inverse(g, order)
+    with pytest.raises(AssertionError, match="unipotent"):
+        poly_inverse([ExactMatrix.scalar(2, GaussRat(2)), ExactMatrix.zeros(2)], 2)
+
+
+def _series_inverse(g, order):
+    """g^{-1} modulo x^order for any gauge with invertible g[0]."""
+    h0 = invert(g[0])
+    out = [h0]
+    for s in range(1, order):
+        acc = ExactMatrix.zeros(g[0].rows)
+        for t in range(1, min(s, len(g) - 1) + 1):
+            acc = acc + g[t] * out[s - t]
+        out.append(-(h0 * acc))
+    return out
+
+
+def _conjugate_by_definition(g, part, order):
+    """g A g^{-1} on the x^-1..x^-order window: the sum of the products
+    g_a A_b (g^{-1})_c x^{a - b + c} over a + c < b."""
+    ginv = _series_inverse(g, order)
+    out = [ExactMatrix.zeros(part[0].rows) for _ in range(order)]
+    for b in range(1, order + 1):
+        for a in range(min(b, len(g))):
+            for c in range(b - a):
+                out[b - a - c - 1] = out[b - a - c - 1] + g[a] * part[b - 1] * ginv[c]
+    return out
+
+
+def _part_times_gauge(part, g, order):
+    """One-sided product B . g, truncated to the x^-1..x^-order window."""
+    out = []
+    for j in range(1, order + 1):
+        acc = ExactMatrix.zeros(part[0].rows)
+        for a in range(min(order - j + 1, len(g))):
+            acc = acc + part[j + a - 1] * g[a]
+        out.append(acc)
+    return out
+
+
+def _random_matrix(rng, n):
+    return ExactMatrix.from_rows([[pick(rng) for _ in range(n)] for _ in range(n)])
+
+
+def test_gauge_conjugation_matches_its_definition():
+    rng = random.Random(20)
+    for _ in range(80):
+        n, order = rng.randint(1, 4), rng.randint(1, 4)
+        g = random_gauge(rng, n, rng.randint(1, order))
+        # zero middle coefficients, of the gauge and of the pole part
+        g = [m if k == 0 or rng.random() < 0.6 else ExactMatrix.zeros(n)
+             for k, m in enumerate(g)]
+        part = [_random_matrix(rng, n) if rng.random() < 0.8 else ExactMatrix.zeros(n)
+                for _ in range(order)]
+        conj = gauge_conjugate(g, part, order)
+        assert conj == _conjugate_by_definition(g, part, order)
+        assert _part_times_gauge(conj, g, order) == poly_times_part(g, part, order)
+        h0 = invert(g[0])
+        u = [m * h0 for m in g]
+        assert unipotent_conjugate(u, part, order) \
+            == _conjugate_by_definition(u, part, order)
 
 
 def test_htl_reduce_fixes_normal_forms():
@@ -413,6 +490,40 @@ def test_orbit_mismatch_detected():
     bad = MatrixTuple(t.n, t.orders, tuple(tuple(p) for p in parts))
     bad.check_residue_sum()
     with pytest.raises(OrbitMismatchError):
+        to_quiver_rep(bad, data, inst)
+
+
+def _two_irregular_poles():
+    """Rank 2, two order-2 poles with blocks q = 1 and q = -1 of size 1, and
+    residues (1, 2) at infinity and (-1, -2) at a1, so the normal-form
+    tuple has residue sum zero."""
+    def pole(label, sign):
+        return PoleData(label, 2, tuple(
+            IrregularBlock((GaussRat(q),), 1,
+                           ResidueSpec(jordan=((GaussRat(sign * r), (1,)),)))
+            for q, r in ((1, 1), (-1, 2))))
+    data = make_spectral_data(2, (pole("infinity", 1), pole("a1", -1)))
+    return data, tuple_from_data(data)
+
+
+@pytest.mark.parametrize("top", [[[0, 1], [0, 0]],    # defective eigenvalue 0
+                                 [[0, 2], [1, 0]]])   # eigenvalues +-sqrt(2)
+@pytest.mark.parametrize("pole", [0, 1])
+def test_orbit_check_rejects_non_split_leading_coefficient(top, pole):
+    data, t = _two_irregular_poles()
+    inst = build_instance(data)
+    for i in range(2):
+        assert orbit_member(list(t.parts[i]), orbit_spec_from_data(data, i))
+    to_quiver_rep(t, data, inst)
+    part = [t.parts[pole][0], ExactMatrix.from_rows(top)]
+    with pytest.raises(NonSplitError):
+        htl_reduce(part, 2)
+    assert not orbit_member(part, orbit_spec_from_data(data, pole))
+    parts = list(t.parts)
+    parts[pole] = tuple(part)
+    bad = MatrixTuple(t.n, t.orders, tuple(parts))
+    with pytest.raises(OrbitMismatchError, match="pole %d is not in its prescribed orbit"
+                       % pole):
         to_quiver_rep(bad, data, inst)
 
 
