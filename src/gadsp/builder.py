@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .numeric import GaussRat, ZERO
-from .quiver import Quiver, dot, reflect_dim, reflect_param
+from .quiver import Quiver, dot, kernel_test, reflect_dim, reflect_param
 from .spectral import SpectralData, shift_pole, swap_xi
 
 
@@ -139,21 +139,26 @@ def lattice_member(inst: QuiverInstance, beta) -> bool:
     return True
 
 
-def lattice_test(inst: QuiverInstance):
-    """The predicate beta -> lattice_member(inst, beta), with the block
-    indices looked up once.  With no irregular pole besides infinity every
-    vector is in the lattice."""
+def lattice_rows(inst: QuiverInstance) -> tuple:
+    """The integer rows whose dot products with beta all vanish exactly when
+    beta is in the level-sum lattice: level_i - level_0 for each irregular
+    pole i other than infinity.  With no such pole there is no row."""
     q = inst.quiver
-    levels = [[q.index((i, j)) for j in range(1, inst.m(i) + 1)]
-              for i in [0] + sorted(inst.i_irr - {0})]
-    if len(levels) == 1:
-        return lambda beta: True
-    first, rest = levels[0], levels[1:]
+    first = [q.index((0, j)) for j in range(1, inst.m(0) + 1)]
+    rows = []
+    for i in sorted(inst.i_irr - {0}):
+        row = [0] * len(q.vertices)
+        for k in first:
+            row[k] = -1
+        for j in range(1, inst.m(i) + 1):
+            row[q.index((i, j))] = 1
+        rows.append(tuple(row))
+    return tuple(rows)
 
-    def in_lattice(beta) -> bool:
-        level0 = sum(beta[k] for k in first)
-        return all(sum(beta[k] for k in ks) == level0 for ks in rest)
-    return in_lattice
+
+def lattice_test(inst: QuiverInstance):
+    """The predicate beta -> lattice_member(inst, beta), from the lattice rows."""
+    return kernel_test(lattice_rows(inst))
 
 
 def perm_xi(inst: QuiverInstance, vertex, s: int) -> QuiverInstance:

@@ -34,7 +34,7 @@ from .numeric import (
     solve_general,
     vstack,
 )
-from .spectral import SpectralData
+from .spectral import SpectralData, shifted_products
 
 
 class OrbitMismatchError(ValueError):
@@ -307,14 +307,14 @@ def _orbit_reduction(part, spec: OrbitSpec):
         red = have[key]
         if red.size != blk.size:
             return None
-        prod = ExactMatrix.identity(red.size)
-        for l, (xi_l, r_l) in enumerate(zip(blk.xi, blk.ranks), start=1):
-            prod = prod * red.residue.add_scalar(-xi_l)
+        prod = None
+        for l, (prod, r_l) in enumerate(
+                zip(shifted_products(red.residue, blk.xi), blk.ranks), start=1):
             if l == 1 and blk.head_free:
                 continue
             if mat_rank(prod) != r_l:
                 return None
-        if not prod.is_zero():
+        if prod is None or not prod.is_zero():
             return None
     return form, gauge
 
@@ -650,11 +650,12 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
         qp_i = q_prime.block(0, n_new, w0, w1)
         pp_i = p_prime.block(w0, w1, 0, n_new)
         n_i = cd.t_blocks[i]
-        coeffs = []
-        power = ExactMatrix.identity(n_i.rows) if n_i.rows else ExactMatrix.zeros(0)
-        for j in range(1, k + 1):
-            coeffs.append(qp_i * power * pp_i)
-            power = power * n_i
+        # coefficient j is qp_i N^(j-1) pp_i
+        coeffs = [qp_i * pp_i]
+        left = qp_i
+        for _ in range(1, k):
+            left = left * n_i
+            coeffs.append(left * pp_i)
         out_parts.append(tuple(coeffs))
     prelim = MatrixTuple(n_new, t.orders, tuple(out_parts))
     if prelim.residue_sum() != ExactMatrix.scalar(n_new, xi_mi):
@@ -851,12 +852,7 @@ def residue_identity_holds(fact: PoleFactorization) -> bool:
 
 def _image_chain(s_mat, xi):
     """Bases of Im prod_{l<=k}(S - xi_l) for k = 1..len(xi)-1."""
-    bases = []
-    prod = ExactMatrix.identity(s_mat.rows)
-    for x in xi[:-1]:
-        prod = prod * s_mat.add_scalar(-x)
-        bases.append(column_space_basis(prod))
-    return bases
+    return [column_space_basis(prod) for prod in shifted_products(s_mat, xi[:-1])]
 
 
 def _leg_maps(s_mat, xi, bases):

@@ -9,7 +9,6 @@ in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -132,26 +131,33 @@ def dot(beta, lam) -> GaussRat:
     return acc
 
 
-def orthogonality_test(lam):
-    """The predicate beta -> (beta . lam == 0), in integer arithmetic.
+def orthogonality_rows(lam) -> tuple:
+    """The integer rows whose dot products with beta all vanish exactly when
+    beta . lam == 0.
 
     lam is brought over one common denominator (the lcm of the denominators
-    of its real and imaginary parts); beta . lam vanishes exactly when the
-    integer dot products of beta with the real and with the imaginary
-    numerators both vanish.  Only the support of lam is visited.
+    of its real and imaginary parts); the rows are the real and the imaginary
+    numerators, each left out when it is zero, so lam == 0 gives no row.
     """
     ratios = [l.re.as_integer_ratio() + l.im.as_integer_ratio() for l in lam]
     den = 1
     for _, rd, _, jd in ratios:
         den = lcm(den, rd, jd)
-    support = [bool(rn or jn) for rn, _, jn, _ in ratios]
-    re = [rn * (den // rd) for rn, rd, jn, _ in ratios if rn or jn]
-    im = [jn * (den // jd) for rn, _, jn, jd in ratios if rn or jn]
+    re = tuple(rn * (den // rd) for rn, rd, _, _ in ratios)
+    im = tuple(jn * (den // jd) for _, _, jn, jd in ratios)
+    return tuple(row for row in (re, im) if any(row))
 
-    def orthogonal(beta) -> bool:
-        return (not sum(map(mul, compress(beta, support), re))
-                and not sum(map(mul, compress(beta, support), im)))
-    return orthogonal
+
+def kernel_test(rows):
+    """The predicate beta -> (row . beta == 0 for every row of `rows`)."""
+    def in_kernel(beta) -> bool:
+        return not any(sum(map(mul, row, beta)) for row in rows)
+    return in_kernel
+
+
+def orthogonality_test(lam):
+    """The predicate beta -> (beta . lam == 0), in integer arithmetic."""
+    return kernel_test(orthogonality_rows(lam))
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,19 @@ at vertex i with c = (beta, eps_i) gives
 
 so entry i becomes -c, each neighbor j of i gains c once per arrow between
 them, and every other entry is unchanged.
+
+The decision core mostly avoids the closure: its candidates satisfy integer
+equalities, so kernel_points_in_box lists the integer points of the box on
+which given integer rows vanish, pruning each partial assignment by the
+range the unassigned terms of each row can still reach, and each point is
+then decided by is_root.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
 from .builder import QuiverInstance, lattice_member
 from .quiver import (
@@ -230,6 +237,73 @@ def positive_roots_in_box(q: Quiver, bound, budget=None):
                     moved[w] += c
                 queue.append((new, moved))
     return found
+
+
+def kernel_points_in_box(bound, rows, limit, budget=None):
+    """The integer points 0 <= beta <= bound with row . beta == 0 for every
+    row of `rows`, in no fixed order; None when more than `limit` pass.
+
+    Vertices with a nonzero column are assigned first, depth first, by
+    decreasing sum_r |row_v| * bound_v, each only to the values that keep
+    every row's partial sum inside the range its unassigned terms can still
+    cancel; the other vertices are free and range over their whole box last.
+    The scan stops as soon as more than `limit` points are certain to pass.
+    Each partial point kept costs one unit of work, charged to `budget`.
+    """
+    if budget is None:
+        budget = [DEFAULT_WORK_CAP]
+    nv = len(bound)
+    weight = [sum(abs(row[v]) for row in rows) * bound[v] for v in range(nv)]
+    tied = sorted((v for v in range(nv) if weight[v]), key=lambda v: -weight[v])
+    free = [v for v in range(nv) if not weight[v]]
+    per_completion = box_volume([bound[v] for v in free])
+    # columns[t][r] = (row r at tied[t], then the least and the most that
+    # row r's terms after tied[t] can add)
+    columns = []
+    lo_hi = [(0, 0)] * len(rows)
+    for v in reversed(tied):
+        columns.append([(row[v], lo, hi) for row, (lo, hi) in zip(rows, lo_hi)])
+        lo_hi = [(lo + min(0, row[v] * bound[v]), hi + max(0, row[v] * bound[v]))
+                 for (lo, hi), row in zip(lo_hi, rows)]
+    columns.reverse()
+    # A partial point is its depth, its values as one mixed-radix int and
+    # its row sums.
+    completions = []
+    stack = [(0, 0, (0,) * len(rows))]
+    while stack:
+        t, code, sums = stack.pop()
+        if t == len(tied):
+            completions.append(code)
+            if len(completions) * per_completion > limit:
+                return None
+            continue
+        # keep -hi <= s + c x <= -lo for every row
+        a, b = 0, bound[tied[t]]
+        for (c, lo, hi), s in zip(columns[t], sums):
+            if c > 0:
+                a, b = max(a, -((hi + s) // c)), min(b, (-lo - s) // c)
+            elif c < 0:
+                a, b = max(a, -((-lo - s) // -c)), min(b, (hi + s) // -c)
+        if a > b:
+            continue
+        budget[0] -= b - a + 1
+        if budget[0] < 0:
+            raise SearchCapExceeded("candidate scan budget exhausted")
+        radix = bound[tied[t]] + 1
+        for x in range(a, b + 1):
+            stack.append((t + 1, code * radix + x,
+                          tuple(s + c * x for (c, _, _), s in zip(columns[t], sums))))
+    tails = list(product(*(range(bound[v] + 1) for v in free)))
+    points = []
+    point = [0] * nv
+    for code in completions:
+        for v in reversed(tied):
+            code, point[v] = divmod(code, bound[v] + 1)
+        for tail in tails:
+            for v, x in zip(free, tail):
+                point[v] = x
+            points.append(tuple(point))
+    return points
 
 
 def box_volume(bound) -> int:

@@ -6,6 +6,15 @@ positive roots whose p-values sum to at least p(alpha).  The plain variant
 allows arbitrary positive-root parts; the lattice variant restricts parts to
 the level-sum lattice, which is the solvability criterion for the matrix
 problem.  Both produce replayable certificates.
+
+Every condition on a part beta besides being a root is an integer linear
+equality: beta . lambda == 0 is two integer dot products (the real and the
+imaginary numerators of lambda over one denominator), and the lattice asks
+for equal level sums.  So the candidate parts are the positive roots among
+the integer points of {0 <= beta <= alpha, C beta = 0}; they are found by
+scanning those points and root-testing each, and the candidates of the last
+(quiver, alpha, lambda, lattice rows) are kept, so that both memberships of a
+Fuchsian instance share one scan.
 """
 
 from __future__ import annotations
@@ -13,14 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le, sub
 
-from .builder import QuiverInstance, lattice_member, lattice_test
+from .builder import QuiverInstance, lattice_member, lattice_rows
 from .numeric import GaussRat
 from .quiver import (
     Quiver,
     composite_lambda,
     composite_pair,
     dot,
-    orthogonality_test,
+    kernel_test,
+    orthogonality_rows,
     pair_with_unit,
     reflect_pair_composite,
     reflect_pair_leg,
@@ -31,6 +41,7 @@ from .roots import (
     box_volume,
     DEFAULT_BOX_VOLUME_CAP,
     is_root,
+    kernel_points_in_box,
     positive_roots_in_box,
     quasi_fundamental_test,
 )
@@ -68,43 +79,54 @@ class Verdict:
         return self.solvable
 
 
-# The root table of the last (quiver, alpha) enumerated: ((quiver, alpha),
-# table), or None.  Both memberships of one instance share it; only one
-# table is kept alive.  Every build runs under the same fixed work cap, so a
-# stored table is exactly what a fresh build would return.
-_last_table = None
+# Above this many integer points passing the rows, the candidates are picked
+# from the closed root box instead of by one root test per point.  A root
+# test costs two to five closure steps, but with a row far fewer points
+# usually pass than the box has roots.  Above this count the measured
+# memberships split between the two paths, and the cap bounds the scan's
+# cost (the measurement is in CHANGES.md).
+SCAN_POINT_CAP = 10_000
+
+# The candidates of the last (quiver, alpha, lambda, lattice rows) decided:
+# (key, candidates), or None.  Both memberships of a Fuchsian instance share
+# it, since the lattice adds no row there; only one entry is kept alive.
+_last_candidates = None
 
 
-def _root_table(q: Quiver, alpha):
-    """positive_roots_in_box(q, alpha), reused while (q, alpha) matches.
-
-    A build that raises stores nothing.  Callers must not modify the table.
-    """
-    global _last_table
-    key, memo = (q, alpha), _last_table
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    _last_table = None
-    table = positive_roots_in_box(q, alpha)
-    _last_table = (key, table)
-    return table
-
-
-def _decomposition_candidates(q: Quiver, alpha, lam, lattice_filter):
-    """The proper orthogonal candidate parts of alpha, as a dict from each
+def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
+    """The proper candidate parts of alpha: the positive roots beta < alpha
+    with beta . lam == 0 that satisfy the `lattice` rows.  A dict from each
     part to its p-value, ordered by decreasing p-value, then
-    lexicographically: the first optimal decomposition found is canonical."""
+    lexicographically: the first optimal decomposition found is canonical.
+
+    Both conditions are integer rows (`lattice` and `orthogonality_rows`),
+    built only when the memo misses.  The box points that pass the rows are
+    scanned directly and each one is root-tested.  The box's roots are
+    closed and filtered instead when there is no row (every box point would
+    pass, most of them no root) or when more than SCAN_POINT_CAP points
+    pass.  A scan or closure that raises stores nothing.  Callers must not
+    modify the dict.
+    """
+    global _last_candidates
     if box_volume(alpha) > DEFAULT_BOX_VOLUME_CAP:
         raise SearchCapExceeded("decomposition box volume above configured limit")
-    alpha = tuple(alpha)
-    roots = _root_table(q, alpha)
-    picked = [beta for beta in roots if beta != alpha]
-    if lattice_filter is not None:
-        picked = list(filter(lattice_filter, picked))
-    if picked:
-        picked = list(filter(orthogonality_test(lam), picked))
+    key, memo = (q, alpha, lam, lattice), _last_candidates
+    if memo is not None and memo[0] == key:
+        return memo[1]
+    _last_candidates = None
+    rows = lattice + orthogonality_rows(lam)
+    points = kernel_points_in_box(alpha, rows, SCAN_POINT_CAP) if rows else None
+    if points is None:
+        in_rows = kernel_test(rows)
+        picked = [beta for beta in positive_roots_in_box(q, alpha)
+                  if beta != alpha and in_rows(beta)]
+    else:
+        picked = [beta for beta in points if any(beta) and beta != alpha
+                  and is_root(q, beta).kind != "not_root"]
     keyed = sorted((-tits(q, beta)[1], beta) for beta in picked)
-    return {beta: -neg_p for neg_p, beta in keyed}
+    candidates = {beta: -neg_p for neg_p, beta in keyed}
+    _last_candidates = (key, candidates)
+    return candidates
 
 
 def _best_decomposition(alpha, p_of, node_cap):
@@ -162,8 +184,11 @@ def _best_decomposition(alpha, p_of, node_cap):
     return value, tuple(parts), nodes
 
 
-def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap):
-    lattice_label = "" if lattice_filter is None else " lattice"
+def _membership(q: Quiver, alpha, lam, lattice, node_cap):
+    """`lattice` is None for plain membership, else the lattice rows
+    (builder.lattice_rows) that alpha and every part must satisfy."""
+    alpha = tuple(alpha)
+    lattice_label = "" if lattice is None else " lattice"
     reasons = []
     nonneg = all(a >= 0 for a in alpha) and any(alpha)
     kind = is_root(q, alpha).kind if nonneg else "not_root"
@@ -171,7 +196,7 @@ def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap):
         reasons.append("FAIL: alpha is not a positive root")
         return Verdict(False, tuple(reasons))
     reasons.append("pass: alpha is a positive %s root" % kind)
-    if lattice_filter is not None and not lattice_filter(alpha):
+    if lattice is not None and not kernel_test(lattice)(alpha):
         reasons.append("FAIL: alpha is not in the level-sum lattice")
         return Verdict(False, tuple(reasons))
     support = [(a, l) for a, l in zip(alpha, lam) if a and l]
@@ -179,7 +204,7 @@ def _membership(q: Quiver, alpha, lam, lattice_filter, node_cap):
         reasons.append("FAIL: alpha . lambda != 0")
         return Verdict(False, tuple(reasons))
     reasons.append("pass: alpha . lambda = 0")
-    candidates = _decomposition_candidates(q, alpha, lam, lattice_filter)
+    candidates = _decomposition_candidates(q, alpha, tuple(lam), lattice or ())
     p_alpha = tits(q, alpha)[1]
     best, parts, nodes = _best_decomposition(alpha, candidates, node_cap)
     if best is not None and best >= p_alpha:
@@ -204,7 +229,7 @@ def sigma_member(q: Quiver, alpha, lam, node_cap=DEFAULT_NODE_CAP) -> Verdict:
 
 def sigma_tilde_member(inst: QuiverInstance, node_cap=DEFAULT_NODE_CAP) -> Verdict:
     """Lattice-restricted membership; this is the solvability criterion."""
-    return _membership(inst.quiver, inst.alpha, inst.lam, lattice_test(inst),
+    return _membership(inst.quiver, inst.alpha, inst.lam, lattice_rows(inst),
                        node_cap)
 
 

@@ -114,6 +114,15 @@ def select_xi(res: ResidueSpec):
     return xi, rank_sequence(res, xi)
 
 
+def shifted_products(m, xi):
+    """Yield prod_{l<=k}(m - xi_l) for k = 1..len(xi), each from the last."""
+    prod = None
+    for x in xi:
+        shift = m.add_scalar(-x)
+        prod = shift if prod is None else prod * shift
+        yield prod
+
+
 def rank_sequence(res: ResidueSpec, xi) -> tuple:
     """Ranks r_k = rank prod_{l<=k}(R - xi_l), k = 1..len(xi); validates r_e = 0."""
     if res.jordan is not None:
@@ -126,12 +135,7 @@ def rank_sequence(res: ResidueSpec, xi) -> tuple:
                 total += sum(max(b - hits, 0) for b in blocks)
             ranks.append(total)
     else:
-        m = res.explicit
-        prod = ExactMatrix.identity(m.rows)
-        ranks = []
-        for x in xi:
-            prod = prod * m.add_scalar(-x)
-            ranks.append(mat_rank(prod))
+        ranks = [mat_rank(prod) for prod in shifted_products(res.explicit, xi)]
     if ranks and ranks[-1] != 0:
         raise SpectralDataError("xi sequence does not annihilate the residue")
     if not ranks:

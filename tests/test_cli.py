@@ -172,3 +172,27 @@ def test_roundtrip_documents():
     from gadsp.serialize import parse_tuple
     t2 = parse_tuple(tuple_to_document(t, data), data)
     assert t2 == t
+
+
+def test_consecutive_main_calls_do_not_share_options(tmp_path, capsys,
+                                                     monkeypatch):
+    # options of one call must not reach the next, whether main builds its
+    # parser per call or keeps one
+    import gadsp.cli as cli
+    from gadsp.sigma import DEFAULT_NODE_CAP
+    caps = []
+    real = cli.sigma_tilde_member
+
+    def recording(inst, node_cap):
+        caps.append(node_cap)
+        return real(inst)
+    monkeypatch.setattr(cli, "sigma_tilde_member", recording)
+    path = write(tmp_path, "inst.json", fuchsian_doc(resonant=False))
+    assert main(["check", path, "--reduce", "--max-nodes", "5"]) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(["check", path]) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert caps == [5, DEFAULT_NODE_CAP]
+    assert "reduction" in first
+    assert "reduction" not in second
+    assert {k: v for k, v in first.items() if k != "reduction"} == second

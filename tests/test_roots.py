@@ -14,6 +14,7 @@ from gadsp.gensamples import (
 from gadsp.quiver import (
     Quiver,
     composite_eps,
+    kernel_test,
     pair_with_unit,
     sym_form,
     tits,
@@ -25,6 +26,7 @@ from gadsp.roots import (
     fundamental_in_box,
     generator_pairing,
     is_root,
+    kernel_points_in_box,
     lift_pairing,
     lift_xi,
     positive_roots_in_box,
@@ -561,3 +563,24 @@ def test_fundamental_scan_matches_reference(problem, cap):
     assert full == _scan_outcome(reference_fundamental_in_box, q, bound, 10**7)
     assert (_scan_outcome(fundamental_in_box, q, bound, cap)
             == _scan_outcome(reference_fundamental_in_box, q, bound, cap))
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_quivers(), st.data())
+def test_kernel_points_match_brute_force(problem, data):
+    q, bound = problem
+    n = len(bound)
+    rows = tuple(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                          max_size=n)))
+                 for _ in range(data.draw(st.integers(0, 3))))
+    in_rows = kernel_test(rows)
+    box = [beta for beta in itertools.product(*(range(b + 1) for b in bound))
+           if in_rows(beta)]
+    points = kernel_points_in_box(bound, rows, 10**9)
+    assert sorted(points) == box     # every point once, and no other
+    # the limit is on the points that pass
+    assert kernel_points_in_box(bound, rows, len(box)) is not None
+    assert kernel_points_in_box(bound, rows, len(box) - 1) is None
+    # the roots among them are the closed box's roots that pass the rows
+    roots_found = {beta for beta in points if is_root(q, beta).kind != "not_root"}
+    assert roots_found == set(filter(in_rows, positive_roots_in_box(q, bound)))

@@ -6,12 +6,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadsp.builder import add_shift, build_instance, perm_xi
+from gadsp.builder import add_shift, build_instance, lattice_rows, perm_xi
 from gadsp.gensamples import random_fuchsian_data, random_instance_data
 from gadsp.numeric import GaussRat
-from gadsp.quiver import Quiver, tits
+from gadsp.quiver import Quiver, dot, orthogonality_rows, tits
 from gadsp import roots, sigma
-from gadsp.roots import SearchCapExceeded, fundamental_in_box, positive_roots_in_box
+from gadsp.roots import (
+    SearchCapExceeded,
+    box_volume,
+    fundamental_in_box,
+    kernel_points_in_box,
+    positive_roots_in_box,
+)
 from gadsp.serialize import parse_spectral
 from gadsp.sigma import (
     ExhaustiveWitness,
@@ -248,11 +254,8 @@ def test_reduction_step_invariance():
     first = trace.steps[0]
     # replay the first step on a fresh membership call at the pair level
     from gadsp.sigma import _membership
-    from gadsp.builder import lattice_member
     alpha2, lam2 = first.after
-    v2 = _membership(inst.quiver, alpha2, lam2,
-                     lambda b: lattice_member(inst, b),
-                     10_000_000)
+    v2 = _membership(inst.quiver, alpha2, lam2, lattice_rows(inst), 10_000_000)
     assert v2.solvable
 
 
@@ -323,82 +326,244 @@ def test_best_decomposition_matches_reference(problem):
 
 
 # ---------------------------------------------------------------------------
-# the shared root table
+# the candidate memo
 
 
 def _count_builds(monkeypatch):
-    """Start from an empty table and count the builds made through sigma."""
-    monkeypatch.setattr(sigma, "_last_table", None)
+    """Start from an empty memo and record each candidate scan and each box
+    closure made through sigma."""
+    monkeypatch.setattr(sigma, "_last_candidates", None)
     builds = []
 
-    def counting(q, bound, budget=None):
-        builds.append((q, tuple(bound)))
+    def scan(bound, rows, limit, budget=None):
+        builds.append(("scan", tuple(bound), rows))
+        return kernel_points_in_box(bound, rows, limit, budget)
+
+    def closure(q, bound, budget=None):
+        builds.append(("closure", q, tuple(bound)))
         return positive_roots_in_box(q, bound, budget)
-    monkeypatch.setattr(sigma, "positive_roots_in_box", counting)
+    monkeypatch.setattr(sigma, "kernel_points_in_box", scan)
+    monkeypatch.setattr(sigma, "positive_roots_in_box", closure)
     return builds
 
 
-def _cap_message(q, alpha, work_cap):
-    with pytest.raises(SearchCapExceeded) as info:
-        positive_roots_in_box(q, alpha, [work_cap])
-    return str(info.value)
+def _work(run):
+    budget = [10**9]
+    run(budget)
+    return 10**9 - budget[0]
 
 
-def test_both_memberships_share_one_table(monkeypatch):
+def test_both_memberships_share_one_scan(monkeypatch):
     builds = _count_builds(monkeypatch)
     inst = nonresonant_hypergeometric()
     a = sigma_tilde_member(inst)
     b = sigma_member(inst.quiver, inst.alpha, inst.lam)
-    assert builds == [(inst.quiver, inst.alpha)]
-    # the same verdicts as with no table kept between the calls
-    monkeypatch.setattr(sigma, "_last_table", None)
+    # the lattice adds no row on a Fuchsian instance
+    assert lattice_rows(inst) == ()
+    assert builds == [("scan", inst.alpha, orthogonality_rows(inst.lam))]
+    key, candidates = sigma._last_candidates
+    assert key == (inst.quiver, inst.alpha, inst.lam, ())
+    # the same verdicts as with no memo kept between the calls
+    monkeypatch.setattr(sigma, "_last_candidates", None)
     assert sigma_tilde_member(inst) == a
-    monkeypatch.setattr(sigma, "_last_table", None)
+    monkeypatch.setattr(sigma, "_last_candidates", None)
     assert sigma_member(inst.quiver, inst.alpha, inst.lam) == b
+    assert sigma._last_candidates == (key, candidates)
 
 
-def test_work_cap_below_one_build_raises_as_fresh_build(monkeypatch):
-    inst = nonresonant_hypergeometric()
+def test_capped_scan_raises_its_own_message_and_stores_nothing(monkeypatch):
+    inst = resonant_hypergeometric()
     q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+    rows = orthogonality_rows(lam)
     expected = sigma_member(q, alpha, lam)
-    build = [10**9]
-    positive_roots_in_box(q, alpha, build)
-    work = 10**9 - build[0]
-    scan = [10**9]
-    fundamental_in_box(q, alpha, scan)
-    scan_work = 10**9 - scan[0]
+    candidates = sigma._last_candidates[1]
+    assert candidates
+    work = _work(lambda b: kernel_points_in_box(alpha, rows, sigma.SCAN_POINT_CAP, b))
+    assert work > 0
+    monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work - 1)
+    monkeypatch.setattr(sigma, "_last_candidates", None)
+    with pytest.raises(SearchCapExceeded) as info:
+        sigma_member(q, alpha, lam)
+    assert str(info.value) == "candidate scan budget exhausted"
+    assert sigma._last_candidates is None     # a failed scan stores nothing
+    # a cap equal to one scan's work suffices, and the candidates are stored
+    monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work)
+    assert sigma_member(q, alpha, lam) == expected
+    assert sigma._last_candidates == ((q, alpha, lam, ()), candidates)
+
+
+def test_capped_closure_raises_as_a_fresh_build(monkeypatch):
+    # lambda = 0 gives no row, so the candidates come from the closed box
+    inst = nonresonant_hypergeometric()
+    q, alpha = inst.quiver, inst.alpha
+    lam = (GaussRat(0),) * len(alpha)
+    monkeypatch.setattr(sigma, "_last_candidates", None)
+    expected = sigma_member(q, alpha, lam)
+    work = _work(lambda b: positive_roots_in_box(q, alpha, b))
+    scan_work = _work(lambda b: fundamental_in_box(q, alpha, b))
     assert 0 < scan_work < work
     messages = set()
     for cap in (work - 1, scan_work - 1):
-        message = _cap_message(q, alpha, cap)
+        with pytest.raises(SearchCapExceeded) as info:
+            positive_roots_in_box(q, alpha, [cap])
+        message = str(info.value)
         monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", cap)
-        monkeypatch.setattr(sigma, "_last_table", None)
+        monkeypatch.setattr(sigma, "_last_candidates", None)
         with pytest.raises(SearchCapExceeded) as info:
             sigma_member(q, alpha, lam)
         assert str(info.value) == message
-        assert sigma._last_table is None     # a failed build stores nothing
+        assert sigma._last_candidates is None
         messages.add(message)
     assert messages == {"root closure budget exhausted",
                         "fundamental-set scan budget exhausted"}
-    # a cap equal to one build's work suffices, and the table is stored
     monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work)
-    monkeypatch.setattr(sigma, "_last_table", None)
     assert sigma_member(q, alpha, lam) == expected
-    assert sigma._last_table == ((q, alpha), positive_roots_in_box(q, alpha))
+    assert sigma._last_candidates[0] == (q, alpha, lam, ())
 
 
-def test_quivers_with_equal_alpha_never_share_a_table(monkeypatch):
+def test_other_quivers_or_rows_never_share_candidates(monkeypatch):
     builds = _count_builds(monkeypatch)
-    lam = (GaussRat(0), GaussRat(0))
+    zero = (GaussRat(0), GaussRat(0))
     a2 = Quiver(("a", "b"), (("a", "b"),))
     kronecker = Quiver(("a", "b"), (("a", "b"),) * 2)
     triple = Quiver(("a", "b"), (("a", "b"),) * 3)
     alpha = (1, 1)
-    verdicts = [sigma_member(q, alpha, lam) for q in (a2, kronecker, triple)]
-    assert [q for q, _ in builds] == [a2, kronecker, triple]
-    for q in (a2, kronecker, triple):
-        table = sigma._root_table(q, alpha)
-        assert table == positive_roots_in_box(q, alpha)
+    verdicts = [sigma_member(q, alpha, zero) for q in (a2, kronecker, triple)]
     # (1, 1) is real for A2 and imaginary for two or more arrows; the
     # simple roots decompose it with p-sum 0, at least p(alpha) only for A2
     assert [v.solvable for v in verdicts] == [False, True, True]
+    assert builds == [("closure", q, alpha) for q in (a2, kronecker, triple)]
+    # the same alpha on one quiver with other rows builds again; an equal
+    # lambda shares the entry
+    i = GaussRat(0, 1)
+    lams = [(GaussRat(1), GaussRat(-1)), (GaussRat(1), GaussRat(-1)),
+            (GaussRat(2), GaussRat(-2)), (i, -i), (1 + i, -1 - i), zero]
+    for lam, last in zip(lams, [None] + lams):
+        del builds[:]
+        assert sigma_member(kronecker, alpha, lam).solvable
+        rows = orthogonality_rows(lam)
+        assert builds == ([] if lam == last else
+                          [("scan", alpha, rows)] if rows else
+                          [("closure", kronecker, alpha)])
+        kept = sigma._last_candidates
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        assert kept == ((kronecker, alpha, lam, ()),
+                        sigma._decomposition_candidates(kronecker, alpha, lam, ()))
+        # lambda is orthogonal to neither simple root unless it is zero
+        assert kept[1] == ({} if rows else {(1, 0): 0, (0, 1): 0})
+    # an irregular instance: the lattice rows part the two memberships
+    rng = random.Random(11)
+    differ = 0
+    for _ in range(10):
+        inst = build_instance(normalize(random_instance_data(
+            rng, n=rng.randint(2, 3), p=2))[0])
+        if not lattice_rows(inst):
+            continue
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        plain = sigma_member(inst.quiver, inst.alpha, inst.lam)
+        tilde = sigma_tilde_member(inst)
+        del builds[:]
+        assert sigma_member(inst.quiver, inst.alpha, inst.lam) == plain
+        # a verdict carries a certificate once it got to the candidates
+        assert len(builds) == (plain.certificate is not None)
+        differ += plain.solvable != tilde.solvable
+    assert differ
+
+
+# ---------------------------------------------------------------------------
+# the scan and the box closure check each other
+
+
+def _candidates_both_ways(q, alpha, lam, lattice):
+    """_decomposition_candidates by the scan, then by the filtered closure."""
+    out = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cap in (10**9, -1):
+            mp.setattr(sigma, "SCAN_POINT_CAP", cap)
+            mp.setattr(sigma, "_last_candidates", None)
+            out.append(list(sigma._decomposition_candidates(
+                q, alpha, lam, lattice).items()))
+    return out
+
+
+@st.composite
+def candidate_problems(draw):
+    """A quiver, alpha, and lambda orthogonal to alpha with mixed
+    denominators: zero, real, imaginary or complex; sometimes with extra
+    integer rows that alpha satisfies, as lattice rows are."""
+    n = draw(st.integers(1, 5))
+    pairs = [(s, t) for s in range(n) for t in range(n) if s != t]
+    arrows = draw(st.lists(st.sampled_from(pairs), max_size=7)) if pairs else []
+    q = Quiver(tuple(range(n)), tuple(arrows))
+    alpha = tuple(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    if not any(alpha):
+        alpha = (1,) + alpha[1:]
+    kind = draw(st.sampled_from(("zero", "real", "imaginary", "complex")))
+    part = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    lam = []
+    for _ in alpha:
+        re = draw(part) if kind in ("real", "complex") else 0
+        im = draw(part) if kind in ("imaginary", "complex") else 0
+        lam.append(GaussRat(re, im))
+    v = next(i for i, a in enumerate(alpha) if a)
+    off = GaussRat(0)
+    for a, l in zip(alpha, lam):
+        off = off + a * l
+    lam[v] = lam[v] - off * GaussRat(Fraction(1, alpha[v]))
+    rows = []
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n))
+        row[v] -= sum(r * a for r, a in zip(row, alpha)) // alpha[v]
+        if not sum(r * a for r, a in zip(row, alpha)):
+            rows.append(tuple(row))
+    return q, alpha, tuple(lam), tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidate_problems())
+def test_scan_and_closure_give_the_same_candidates(problem):
+    q, alpha, lam, lattice = problem
+    assert not dot(alpha, lam)
+    scanned, closed = _candidates_both_ways(q, alpha, lam, lattice)
+    assert scanned == closed
+
+
+def test_scan_and_closure_agree_on_generated_instances():
+    rng = random.Random(5)
+    compared = 0
+    for _ in range(60):
+        data = random_instance_data(rng, n=rng.randint(1, 3), p=rng.randint(1, 3))
+        inst = build_instance(normalize(data)[0])
+        q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+        if dot(alpha, lam) or box_volume(alpha) > 20_000:
+            continue
+        lattice = lattice_rows(inst)
+        for rows in (lattice, ()):
+            scanned, closed = _candidates_both_ways(q, alpha, lam, rows)
+            assert scanned == closed
+            compared += bool(rows) and bool(scanned)
+    assert compared >= 5     # lattice rows that leave candidates occur
+
+
+def test_forced_fallback_keeps_the_verdict(monkeypatch):
+    closures = []
+
+    def counting(q, bound, budget=None):
+        closures.append(tuple(bound))
+        return positive_roots_in_box(q, bound, budget)
+    rng = random.Random(11)
+    instances = [nonresonant_hypergeometric(), resonant_hypergeometric()]
+    instances += [build_instance(normalize(random_instance_data(
+        rng, n=rng.randint(2, 3), p=2))[0]) for _ in range(10)]
+    for inst in instances:
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        want = (sigma_tilde_member(inst),
+                sigma_member(inst.quiver, inst.alpha, inst.lam))
+        with monkeypatch.context() as mp:
+            mp.setattr(sigma, "SCAN_POINT_CAP", 0)
+            mp.setattr(sigma, "positive_roots_in_box", counting)
+            mp.setattr(sigma, "_last_candidates", None)
+            got = (sigma_tilde_member(inst),
+                   sigma_member(inst.quiver, inst.alpha, inst.lam))
+        assert got == want
+    assert closures   # the closure did run
