@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .numeric import GaussRat, ZERO
-from .quiver import Quiver, dot, kernel_test, reflect_dim, reflect_param
+from .quiver import Quiver, dot, reflect_dim, reflect_param
 from .spectral import SpectralData, shift_pole, swap_xi
 
 
@@ -154,11 +154,6 @@ def lattice_rows(inst: QuiverInstance) -> tuple:
             row[q.index((i, j))] = 1
         rows.append(tuple(row))
     return tuple(rows)
-
-
-def lattice_test(inst: QuiverInstance):
-    """The predicate beta -> lattice_member(inst, beta), from the lattice rows."""
-    return kernel_test(lattice_rows(inst))
 
 
 def perm_xi(inst: QuiverInstance, vertex, s: int) -> QuiverInstance:

@@ -660,33 +660,6 @@ def complete_basis(basis: ExactMatrix) -> ExactMatrix:
     return _make(n, len(chosen), 1, [(int(i == j), 0) for i in range(n) for j in chosen])
 
 
-def solve_sylvester(a: ExactMatrix, b: ExactMatrix, c: ExactMatrix) -> ExactMatrix:
-    """Unique X with aX - Xb = c; SingularOperatorError when spectra intersect.
-
-    One elimination of the Kronecker system [K | vec c]: K is nonsingular
-    exactly when the pivots are its dim columns, and then the last column is vec X.
-    """
-    s, t = a.rows, b.rows
-    if a.cols != s or b.cols != t or c.rows != s or c.cols != t:
-        raise ValueError("shape mismatch in Sylvester equation")
-    # Row (i,j) of the Kronecker system: sum_k a[i,k] X[k,j] - sum_k X[i,k] b[k,j].
-    dim = s * t
-    _, (az, bz, cz) = _common([a, b, c])
-    kernel = _Echelon()
-    for i in range(s):
-        for j in range(t):
-            row = [(0, 0)] * dim + [cz[i * t + j]]
-            for k in range(s):
-                row[k * t + j] = az[i * s + k]
-            for k in range(t):
-                row[i * t + k] = _zsub(row[i * t + k], bz[k * t + j])
-            kernel.add(row)
-    if sorted(kernel.rows) != list(range(dim)):
-        raise SingularOperatorError("Sylvester operator X -> aX - Xb is singular")
-    x = _solution(kernel, dim, dim, dim + 1)
-    return _make(s, t, x.d, x.z)
-
-
 # ---------------------------------------------------------------------------
 # characteristic polynomial and Q(i) eigen-decomposition
 

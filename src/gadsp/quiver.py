@@ -155,11 +155,6 @@ def kernel_test(rows):
     return in_kernel
 
 
-def orthogonality_test(lam):
-    """The predicate beta -> (beta . lam == 0), in integer arithmetic."""
-    return kernel_test(orthogonality_rows(lam))
-
-
 # ---------------------------------------------------------------------------
 # composite reflections attached to multi-indices
 #

@@ -1,12 +1,21 @@
 """Root-system engine: classification, boxed enumeration, quasi-fundamental
 set, and lifts into the auxiliary Kac-Moody lattice.
 
-Boxed enumeration works by reflection closure: a reflection at a vertex with
-positive pairing lowers exactly one coordinate, so the descending chain from
-any positive root to a simple root or fundamental-set element stays inside
-every componentwise box containing the root.  Closing the seeds (simple
-roots and boxed fundamental-set members) under box-preserving reflections
-therefore yields every positive root below the bound.
+One scanner, box_points, lists the integer points of a box under integer
+linear conditions, "== 0" rows and "<= 0" rows: depth first, it gives each
+vertex only the values that keep every row's partial sum inside the range
+its unassigned terms can still reach (interval propagation; Schrijver,
+Theory of Linear and Integer Programming, 1986).  The boxed fundamental set
+is its "<= 0" scan by the Cartan rows, (beta, eps_v) <= 0 at every v, kept
+where the support is connected (Kac, Invent. Math. 1980).
+
+Boxed enumeration works by reflection closure, seeded from that scan: a
+reflection at a vertex with positive pairing lowers exactly one coordinate,
+so the descending chain from any positive root to a simple root or
+fundamental-set element stays inside every componentwise box containing the
+root.  Closing the seeds (simple roots and boxed fundamental-set members)
+under box-preserving reflections therefore yields every positive root below
+the bound.
 
 The closure carries each root's pairings (beta, eps_j) with it.  Reflecting
 at vertex i with c = (beta, eps_i) gives
@@ -17,10 +26,8 @@ so entry i becomes -c, each neighbor j of i gains c once per arrow between
 them, and every other entry is unchanged.
 
 The decision core mostly avoids the closure: its candidates satisfy integer
-equalities, so kernel_points_in_box lists the integer points of the box on
-which given integer rows vanish, pruning each partial assignment by the
-range the unassigned terms of each row can still reach, and each point is
-then decided by is_root.
+equalities, so it scans the box points on which its rows vanish with
+box_points, and decides each point by is_root.
 """
 
 from __future__ import annotations
@@ -116,81 +123,24 @@ def is_root(q: Quiver, beta) -> RootClass:
 
 
 def fundamental_in_box(q: Quiver, bound, budget=None):
-    """All fundamental-set members beta <= bound: nonzero, non-negative,
-    connected support, (beta, eps_a) <= 0 everywhere.
+    """All fundamental-set members beta <= bound, sorted: nonzero,
+    non-negative, connected support, (beta, eps_v) <= 0 at every vertex v.
 
-    Depth-first over vertices in breadth-first order from the highest-degree
-    vertex, pruning with the partial pairing conditions.
+    The conditions on the pairings are the "<= 0" rows of box_points: the
+    symmetrized Cartan rows, 2 at v and -1 per arrow at each neighbor, so
+    that row_v . beta = (beta, eps_v).
     """
     nv = len(q.vertices)
-    if nv == 0:
-        return []
-    if budget is None:
-        budget = [DEFAULT_WORK_CAP]
-    start = max(range(nv), key=lambda i: (len(q.neighbors(i)), -i))
-    order = []
-    seen = {start}
-    dq = deque([start])
-    while dq:
-        v = dq.popleft()
-        order.append(v)
+    cartan = [[0] * nv for _ in range(nv)]
+    for v in range(nv):
+        cartan[v][v] = 2
         for w in q.neighbors(v):
-            if w not in seen:
-                seen.add(w)
-                dq.append(w)
-    for v in range(nv):  # disconnected quivers
-        if v not in seen:
-            seen.add(v)
-            order.append(v)
-    pos_of = {v: t for t, v in enumerate(order)}
-    last_nbr_pos = [max([pos_of[w] for w in q.neighbors(v)] + [pos_of[v]])
-                    for v in range(nv)]
-    # Assigning order[t] changes the constraints of order[t] and of its
-    # assigned neighbors only; the others passed at the parent node.
-    touched = [[v] + sorted({w for w in q.neighbors(v) if pos_of[w] < t})
-               for t, v in enumerate(order)]
-
-    out = []
-    values = [0] * nv
-
-    def feasible(t):
-        # After assigning order[t], check finished vertices exactly and
-        # unfinished ones against the best their unassigned neighbors allow.
-        for v in touched[t]:
-            assigned_sum = 0
-            slack = 0
-            for w in q.neighbors(v):
-                if pos_of[w] <= t:
-                    assigned_sum += values[w]
-                else:
-                    slack += bound[w]
-            lhs = 2 * values[v] - assigned_sum
-            if last_nbr_pos[v] <= t:
-                if lhs > 0:
-                    return False
-            elif lhs > slack:
-                return False
-        return True
-
-    def descend(t):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchCapExceeded("fundamental-set scan budget exhausted")
-        if t == nv:
-            beta = tuple(values[v] for v in range(nv))
-            if any(beta) and q.support_connected(beta):
-                out.append(beta)
-            return
-        v = order[t]
-        for val in range(bound[v] + 1):
-            values[v] = val
-            if feasible(t):
-                descend(t + 1)
-        values[v] = 0
-
-    descend(0)
-    out.sort()
-    return out
+            cartan[v][w] -= 1
+    try:
+        points = box_points(bound, (), cartan, box_volume(bound), budget)
+    except SearchCapExceeded:
+        raise SearchCapExceeded("fundamental-set scan budget exhausted") from None
+    return sorted(beta for beta in points if any(beta) and q.support_connected(beta))
 
 
 def positive_roots_in_box(q: Quiver, bound, budget=None):
@@ -239,70 +189,83 @@ def positive_roots_in_box(q: Quiver, bound, budget=None):
     return found
 
 
-def kernel_points_in_box(bound, rows, limit, budget=None):
+def box_points(bound, equal, at_most, limit, budget=None):
     """The integer points 0 <= beta <= bound with row . beta == 0 for every
-    row of `rows`, in no fixed order; None when more than `limit` pass.
+    row of `equal` and row . beta <= 0 for every row of `at_most`, in no
+    fixed order; None when more than `limit` pass.
 
     Vertices with a nonzero column are assigned first, depth first, by
-    decreasing sum_r |row_v| * bound_v, each only to the values that keep
-    every row's partial sum inside the range its unassigned terms can still
-    cancel; the other vertices are free and range over their whole box last.
-    The scan stops as soon as more than `limit` points are certain to pass.
+    decreasing weight sum_r |row_v| * bound_v, each only to the values that
+    keep every row's partial sum inside the range its unassigned terms can
+    still cancel; the other vertices are free and range over their whole box
+    last.  A "<= 0" row is an equality with a slack in [0, sum of the
+    weights], which is at least -(the least row . beta over the box).  The
+    scan stops as soon as more than `limit` points are certain to pass.
     Each partial point kept costs one unit of work, charged to `budget`.
     """
     if budget is None:
         budget = [DEFAULT_WORK_CAP]
     nv = len(bound)
-    weight = [sum(abs(row[v]) for row in rows) * bound[v] for v in range(nv)]
+    rows = (*equal, *at_most)
+    nonzero = [[(r, row[v]) for r, row in enumerate(rows) if row[v]]
+               for v in range(nv)]
+    weight = [sum(abs(c) for _, c in col) * b for col, b in zip(nonzero, bound)]
     tied = sorted((v for v in range(nv) if weight[v]), key=lambda v: -weight[v])
     free = [v for v in range(nv) if not weight[v]]
-    per_completion = box_volume([bound[v] for v in free])
-    # columns[t][r] = (row r at tied[t], then the least and the most that
-    # row r's terms after tied[t] can add)
+    # columns[t] = [(r, row r at tied[t], then the least and the most that
+    # row r's terms after tied[t] and its slack can add)] over the rows with
+    # a nonzero entry at tied[t]
+    lo = [0] * len(rows)
+    hi = [0] * len(equal) + [sum(weight)] * len(at_most)
     columns = []
-    lo_hi = [(0, 0)] * len(rows)
     for v in reversed(tied):
-        columns.append([(row[v], lo, hi) for row, (lo, hi) in zip(rows, lo_hi)])
-        lo_hi = [(lo + min(0, row[v] * bound[v]), hi + max(0, row[v] * bound[v]))
-                 for (lo, hi), row in zip(lo_hi, rows)]
+        columns.append([(r, c, lo[r], hi[r]) for r, c in nonzero[v]])
+        for r, c in nonzero[v]:
+            lo[r] += min(0, c * bound[v])
+            hi[r] += max(0, c * bound[v])
     columns.reverse()
-    # A partial point is its depth, its values as one mixed-radix int and
-    # its row sums.
-    completions = []
-    stack = [(0, 0, (0,) * len(rows))]
+    # A partial point is its depth, the value of its last vertex and its row
+    # sums.  Depth first, the partial points popped last at lower depths are
+    # its ancestors, so `point` holds its earlier values.
+    tails = list(product(*(range(bound[v] + 1) for v in free)))
+    points = []
+    point = [0] * nv
+    stack = [(0, 0, [0] * len(rows))]
     while stack:
-        t, code, sums = stack.pop()
+        t, x, sums = stack.pop()
+        if t:
+            point[tied[t - 1]] = x
         if t == len(tied):
-            completions.append(code)
-            if len(completions) * per_completion > limit:
+            if len(points) + len(tails) > limit:
                 return None
+            for tail in tails:
+                for v, y in zip(free, tail):
+                    point[v] = y
+                points.append(tuple(point))
             continue
         # keep -hi <= s + c x <= -lo for every row
+        column = columns[t]
         a, b = 0, bound[tied[t]]
-        for (c, lo, hi), s in zip(columns[t], sums):
+        for r, c, lo, hi in column:
+            s = sums[r]
             if c > 0:
-                a, b = max(a, -((hi + s) // c)), min(b, (-lo - s) // c)
-            elif c < 0:
-                a, b = max(a, -((-lo - s) // -c)), min(b, (hi + s) // -c)
+                least, most = -((hi + s) // c), (-lo - s) // c
+            else:
+                least, most = -((-lo - s) // -c), (hi + s) // -c
+            if least > a:
+                a = least
+            if most < b:
+                b = most
         if a > b:
             continue
         budget[0] -= b - a + 1
         if budget[0] < 0:
             raise SearchCapExceeded("candidate scan budget exhausted")
-        radix = bound[tied[t]] + 1
         for x in range(a, b + 1):
-            stack.append((t + 1, code * radix + x,
-                          tuple(s + c * x for (c, _, _), s in zip(columns[t], sums))))
-    tails = list(product(*(range(bound[v] + 1) for v in free)))
-    points = []
-    point = [0] * nv
-    for code in completions:
-        for v in reversed(tied):
-            code, point[v] = divmod(code, bound[v] + 1)
-        for tail in tails:
-            for v, x in zip(free, tail):
-                point[v] = x
-            points.append(tuple(point))
+            moved = sums[:]
+            for r, c, _, _ in column:
+                moved[r] += c * x
+            stack.append((t + 1, x, moved))
     return points
 
 

@@ -38,10 +38,10 @@ from .quiver import (
 )
 from .roots import (
     SearchCapExceeded,
+    box_points,
     box_volume,
     DEFAULT_BOX_VOLUME_CAP,
     is_root,
-    kernel_points_in_box,
     positive_roots_in_box,
     quasi_fundamental_test,
 )
@@ -115,7 +115,7 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
         return memo[1]
     _last_candidates = None
     rows = lattice + orthogonality_rows(lam)
-    points = kernel_points_in_box(alpha, rows, SCAN_POINT_CAP) if rows else None
+    points = box_points(alpha, rows, (), SCAN_POINT_CAP) if rows else None
     if points is None:
         in_rows = kernel_test(rows)
         picked = [beta for beta in positive_roots_in_box(q, alpha)

@@ -6,7 +6,7 @@ from gadsp.builder import (
     alpha_dot_lambda,
     build_instance,
     lattice_member,
-    lattice_test,
+    lattice_rows,
     perm_xi,
     predict_perm_xi,
     shift_vector,
@@ -17,7 +17,7 @@ from gadsp.gensamples import (
     random_multi_index,
 )
 from gadsp.numeric import GaussRat
-from gadsp.quiver import composite_eps, dot
+from gadsp.quiver import composite_eps, dot, kernel_test
 from gadsp.serialize import parse_spectral
 from gadsp.spectral import normalize
 
@@ -101,7 +101,7 @@ def test_alpha_in_lattice_and_connected():
 def test_lattice_test_matches_lattice_member():
     several = 0
     for rng, inst in _instances(5, 30):
-        in_lattice = lattice_test(inst)
+        in_lattice = kernel_test(lattice_rows(inst))
         several += len(inst.i_irr) > 1
         vectors = [inst.alpha] + [inst.quiver.unit(v) for v in inst.quiver.vertices]
         vectors += [tuple(rng.randint(0, 3) for _ in inst.quiver.vertices)

@@ -28,7 +28,6 @@ from gadsp.numeric import (
     qi_roots,
     rref,
     solve_general,
-    solve_sylvester,
     vstack,
 )
 
@@ -115,26 +114,6 @@ def test_kernel_vectors_are_annihilated():
         assert (m * basis).is_zero()
 
 
-def test_sylvester_scalar():
-    a = ExactMatrix.from_rows([[2]])
-    b = ExactMatrix.from_rows([[1]])
-    c = ExactMatrix.from_rows([[3]])
-    assert solve_sylvester(a, b, c) == ExactMatrix.from_rows([[3]])
-
-
-def test_sylvester_componentwise():
-    a = ExactMatrix.from_rows([[1, 0], [0, 2]])
-    b = ExactMatrix.from_rows([[0]])
-    c = ExactMatrix.from_rows([[4], [6]])
-    assert solve_sylvester(a, b, c) == ExactMatrix.from_rows([[4], [3]])
-
-
-def test_sylvester_singular_spectra_intersect():
-    a = ExactMatrix.from_rows([[1]])
-    with pytest.raises(SingularOperatorError):
-        solve_sylvester(a, a, a)
-
-
 def test_invert_singular_raises():
     for rows in ([[1, 2], [2, 4]], [[0]], [[1, 0, 0], [0, 0, 1], [1, 0, 1]],
                  [[1, GaussRat(0, 1)], [GaussRat(0, 1), -1]]):
@@ -162,24 +141,6 @@ def test_invert_inverts_or_raises():
         inv = invert(m)
         assert inv * m == ExactMatrix.identity(n) == m * inv
     assert inverted > 20
-
-
-def test_sylvester_exact_on_random_disjoint_spectra():
-    rng = random.Random(2)
-    for _ in range(20):
-        s = rng.randint(1, 3)
-        t = rng.randint(1, 3)
-        # Strictly triangular perturbations keep the spectra at 1 and -1.
-        a = ExactMatrix.from_rows(
-            [[1 if i == j else (GaussRat(rng.randint(-2, 2)) if j > i else 0)
-              for j in range(s)] for i in range(s)])
-        b = ExactMatrix.from_rows(
-            [[-1 if i == j else (GaussRat(rng.randint(-2, 2)) if j > i else 0)
-              for j in range(t)] for i in range(t)])
-        c = ExactMatrix.from_rows([[GaussRat(rng.randint(-3, 3), rng.randint(-1, 1))
-                                    for _ in range(t)] for _ in range(s)])
-        x = solve_sylvester(a, b, c)
-        assert a * x - x * b == c
 
 
 def test_char_poly_and_eigenvalues():

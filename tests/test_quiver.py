@@ -17,7 +17,8 @@ from gadsp.quiver import (
     composite_lambda,
     dot,
     euler_form,
-    orthogonality_test,
+    kernel_test,
+    orthogonality_rows,
     reflect_composite,
     reflect_dim,
     reflect_param,
@@ -232,14 +233,14 @@ def test_orthogonality_test_matches_dot(data):
         # move one coordinate so that beta . lam = 0
         k = data.draw(st.sampled_from(support))
         lam[k] = lam[k] - dot(beta, lam) / GaussRat(beta[k])
-    assert orthogonality_test(lam)(beta) == (not dot(beta, lam))
+    assert kernel_test(orthogonality_rows(lam))(beta) == (not dot(beta, lam))
 
 
 def test_orthogonality_test_mixed_denominators():
     lam = (GaussRat(Fraction(1, 6), Fraction(-1, 4)), GaussRat(0),
            GaussRat(Fraction(-1, 3), Fraction(1, 2)), GaussRat(7))
-    orthogonal = orthogonality_test(lam)
+    orthogonal = kernel_test(orthogonality_rows(lam))
     assert orthogonal((2, 5, 1, 0))
     assert not orthogonal((2, 5, 1, 1))
     assert not orthogonal((1, 0, 1, 0))
-    assert orthogonality_test(())(())
+    assert kernel_test(orthogonality_rows(()))(())

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import deque
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +22,12 @@ from gadsp.quiver import (
 )
 from gadsp.roots import (
     SearchCapExceeded,
+    box_points,
     classify_tame,
     composite_is_real_root,
     fundamental_in_box,
     generator_pairing,
     is_root,
-    kernel_points_in_box,
     lift_pairing,
     lift_xi,
     positive_roots_in_box,
@@ -478,9 +479,10 @@ def test_closure_reaches_imaginary_and_zero_bounds():
     assert all(beta[2] == 0 for beta in table)
 
 
-def reference_fundamental_in_box(q, bound, budget):
-    """The fundamental-set scan as first written: every assigned vertex
-    rechecked at every search node."""
+def reference_fundamental_in_box(q, bound):
+    """The fundamental-set scan as first written: depth first in
+    breadth-first order, every assigned vertex rechecked at every search
+    node."""
     nv = len(q.vertices)
     if nv == 0:
         return []
@@ -525,9 +527,6 @@ def reference_fundamental_in_box(q, bound, budget):
         return True
 
     def descend(t):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchCapExceeded("fundamental-set scan budget exhausted")
         if t == nv:
             beta = tuple(values[v] for v in range(nv))
             if any(beta) and q.support_connected(beta):
@@ -545,24 +544,44 @@ def reference_fundamental_in_box(q, bound, budget):
     return out
 
 
-def _scan_outcome(scan, q, bound, cap):
-    budget = [cap]
-    try:
-        members = scan(q, bound, budget)
-    except SearchCapExceeded as exc:
-        return "raised", str(exc)
-    return members, budget[0]
-
-
 @settings(max_examples=300, deadline=None)
-@given(boxed_quivers(), st.integers(0, 3000))
-def test_fundamental_scan_matches_reference(problem, cap):
+@given(boxed_quivers())
+def test_fundamental_scan_matches_reference(problem):
     q, bound = problem
-    # the same members in the same order, the same work, and the same cap trips
-    full = _scan_outcome(fundamental_in_box, q, bound, 10**7)
-    assert full == _scan_outcome(reference_fundamental_in_box, q, bound, 10**7)
-    assert (_scan_outcome(fundamental_in_box, q, bound, cap)
-            == _scan_outcome(reference_fundamental_in_box, q, bound, cap))
+    # the same members in the same order
+    budget = [10**7]
+    members = fundamental_in_box(q, bound, budget)
+    assert members == reference_fundamental_in_box(q, bound)
+    # a cap equal to the scan's own work passes, and one less raises
+    work = 10**7 - budget[0]
+    assert fundamental_in_box(q, bound, [work]) == members
+    if work:
+        with pytest.raises(SearchCapExceeded,
+                           match="^fundamental-set scan budget exhausted$"):
+            fundamental_in_box(q, bound, [work - 1])
+
+
+def test_box_points_work_on_tiny_boxes():
+    # One unit per kept partial point, counted by hand.
+    kronecker = Quiver(("a", "b"), (("a", "b"),) * 2)
+    cases = [
+        # b = a: three values of a, then one b each
+        (lambda budget: box_points((2, 2), [(1, -1)], (), 100, budget),
+         {(0, 0), (1, 1), (2, 2)}, 3 + 3),
+        # a <= b: three values of a, then 3 + 2 + 1 values of b
+        (lambda budget: box_points((2, 2), (), [(1, -1)], 100, budget),
+         {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}, 3 + 6),
+        # a free third vertex is not scanned and costs nothing
+        (lambda budget: box_points((2, 2, 1), [(1, -1, 0)], (), 100, budget),
+         {(a, a, c) for a in range(3) for c in range(2)}, 3 + 3),
+        # Kronecker: 2a - 2b <= 0 and 2b - 2a <= 0 keep b = a
+        (lambda budget: fundamental_in_box(kronecker, (2, 2), budget),
+         {(1, 1), (2, 2)}, 3 + 3),
+    ]
+    for scan, points, work in cases:
+        budget = [100]
+        assert set(scan(budget)) == points
+        assert 100 - budget[0] == work
 
 
 @settings(max_examples=300, deadline=None)
@@ -570,17 +589,31 @@ def test_fundamental_scan_matches_reference(problem, cap):
 def test_kernel_points_match_brute_force(problem, data):
     q, bound = problem
     n = len(bound)
-    rows = tuple(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n,
-                                          max_size=n)))
-                 for _ in range(data.draw(st.integers(0, 3))))
+
+    def draw_rows():
+        return tuple(tuple(data.draw(st.lists(st.integers(-3, 3), min_size=n,
+                                              max_size=n)))
+                     for _ in range(data.draw(st.integers(0, 3))))
+    rows, at_most = draw_rows(), draw_rows()
     in_rows = kernel_test(rows)
-    box = [beta for beta in itertools.product(*(range(b + 1) for b in bound))
-           if in_rows(beta)]
-    points = kernel_points_in_box(bound, rows, 10**9)
+
+    def passes(beta):
+        return in_rows(beta) and all(sum(map(mul, row, beta)) <= 0
+                                     for row in at_most)
+    whole = list(itertools.product(*(range(b + 1) for b in bound)))
+    box = [beta for beta in whole if passes(beta)]
+    points = box_points(bound, rows, at_most, 10**9)
     assert sorted(points) == box     # every point once, and no other
     # the limit is on the points that pass
-    assert kernel_points_in_box(bound, rows, len(box)) is not None
-    assert kernel_points_in_box(bound, rows, len(box) - 1) is None
+    assert box_points(bound, rows, at_most, len(box)) is not None
+    assert box_points(bound, rows, at_most, len(box) - 1) is None
     # the roots among them are the closed box's roots that pass the rows
     roots_found = {beta for beta in points if is_root(q, beta).kind != "not_root"}
-    assert roots_found == set(filter(in_rows, positive_roots_in_box(q, bound)))
+    assert roots_found == set(filter(passes, positive_roots_in_box(q, bound)))
+    # the fundamental set is the box points that pair <= 0 with every simple
+    # root, nonzero and with connected support
+    units = [q.unit(v) for v in q.vertices]
+    fundamental = [beta for beta in whole if any(beta)
+                   and q.support_connected(beta)
+                   and all(sym_form(q, beta, eps) <= 0 for eps in units)]
+    assert fundamental_in_box(q, bound) == fundamental

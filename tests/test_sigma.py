@@ -13,9 +13,9 @@ from gadsp.quiver import Quiver, dot, orthogonality_rows, tits
 from gadsp import roots, sigma
 from gadsp.roots import (
     SearchCapExceeded,
+    box_points,
     box_volume,
     fundamental_in_box,
-    kernel_points_in_box,
     positive_roots_in_box,
 )
 from gadsp.serialize import parse_spectral
@@ -335,14 +335,14 @@ def _count_builds(monkeypatch):
     monkeypatch.setattr(sigma, "_last_candidates", None)
     builds = []
 
-    def scan(bound, rows, limit, budget=None):
+    def scan(bound, rows, at_most, limit, budget=None):
         builds.append(("scan", tuple(bound), rows))
-        return kernel_points_in_box(bound, rows, limit, budget)
+        return box_points(bound, rows, at_most, limit, budget)
 
     def closure(q, bound, budget=None):
         builds.append(("closure", q, tuple(bound)))
         return positive_roots_in_box(q, bound, budget)
-    monkeypatch.setattr(sigma, "kernel_points_in_box", scan)
+    monkeypatch.setattr(sigma, "box_points", scan)
     monkeypatch.setattr(sigma, "positive_roots_in_box", closure)
     return builds
 
@@ -378,7 +378,7 @@ def test_capped_scan_raises_its_own_message_and_stores_nothing(monkeypatch):
     expected = sigma_member(q, alpha, lam)
     candidates = sigma._last_candidates[1]
     assert candidates
-    work = _work(lambda b: kernel_points_in_box(alpha, rows, sigma.SCAN_POINT_CAP, b))
+    work = _work(lambda b: box_points(alpha, rows, (), sigma.SCAN_POINT_CAP, b))
     assert work > 0
     monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work - 1)
     monkeypatch.setattr(sigma, "_last_candidates", None)
