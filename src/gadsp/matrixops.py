@@ -380,43 +380,70 @@ _FAST_I = pow(11, (_FAST_PRIME - 1) // 4, _FAST_PRIME)
 assert (_FAST_I * _FAST_I + 1) % _FAST_PRIME == 0
 
 
-def _algebra_spans(ident, gens, n, product, add):
-    """True when the unital algebra generated by gens is all n x n matrices.
+def _spin(v, gens, n, product, add):
+    """A basis of the smallest subspace of an n-dimensional space that holds
+    v and that every generator maps into itself.
 
-    Matrices are flat row-major lists; product(g, b) multiplies two of them
-    and add(vec) puts vec into an echelon basis of the span, saying whether
-    it was new.  The frontier holds the words that grew the span in the last
-    round, so span(B) ends closed under left multiplication by every
-    generator, and the verdict does not depend on the ring the words are
-    computed in, only on the field of their span.
+    product(g, w) applies a generator to a vector and add(w) puts w into an
+    echelon basis of the span, saying whether it was new; the basis is the
+    vectors add accepted.  The frontier holds the vectors that grew the span
+    in the last round, so the span ends closed under every generator, and
+    its dimension does not depend on the ring the vectors are computed in,
+    only on the field of their span.  Spinning the identity under left
+    multiplication in the space of m x m matrices (n = m * m) gives the
+    unital algebra the generators span.
     """
-    dim = n * n
-    size = int(add(ident))
-    frontier = [ident]
-    while frontier and size < dim:
+    basis = [v] if add(v) else []
+    frontier = list(basis)
+    while frontier and len(basis) < n:
         new_frontier = []
         for g in gens:
-            for b in frontier:
-                prod = product(g, b)
-                if add(prod):
-                    size += 1
-                    if size == dim:
-                        return True
-                    new_frontier.append(prod)
+            for w in frontier:
+                img = product(g, w)
+                if add(img):
+                    basis.append(img)
+                    if len(basis) == n:
+                        return basis
+                    new_frontier.append(img)
         frontier = new_frontier
-    return size == dim
+    return basis
 
 
-def _irreducible_modp(gens, n):
-    """True when the algebra closure mod p already spans; None if undecided."""
+def _transposed(flat, n):
+    """The transpose of a flat row-major n x n list."""
+    return [flat[k * n + i] for i in range(n) for k in range(n)]
+
+
+def _modp_gens(gens):
+    """The generators reduced mod p as flat row-major lists, or None when p
+    divides a denominator (exactly when it divides the common d)."""
     p = _FAST_PRIME
-    red_gens = []
+    red = []
     for g in gens:
-        # p divides d exactly when it divides some entry's denominator
         if g.d % p == 0:
             return None
         inv = pow(g.d, -1, p)
-        red_gens.append([(a + b * _FAST_I) * inv % p for a, b in g.z])
+        red.append([(a + b * _FAST_I) * inv % p for a, b in g.z])
+    return red
+
+
+def _modp_matmul(a, b, n, k, m):
+    """Product mod p of the flat row-major lists a (n x k) and b (k x m)."""
+    prod = [0] * (n * m)
+    for i in range(n):
+        out = i * m
+        for t in range(k):
+            x = a[i * k + t]
+            if x:
+                row = t * m
+                for j in range(m):
+                    prod[out + j] += x * b[row + j]
+    return [x % _FAST_PRIME for x in prod]
+
+
+def _modp_echelon():
+    """add(vec) for a fresh echelon basis mod p: True when vec was new."""
+    p = _FAST_PRIME
     basis = {}
 
     def add(vec):
@@ -431,20 +458,16 @@ def _irreducible_modp(gens, n):
                 return True
         return False
 
-    def product(g, b):
-        prod = [0] * (n * n)
-        for i in range(n):
-            for k in range(n):
-                a = g[i * n + k]
-                if a:
-                    row = k * n
-                    out = i * n
-                    for j in range(n):
-                        prod[out + j] = (prod[out + j] + a * b[row + j]) % p
-        return prod
+    return add
 
-    ident = [1 if i == j else 0 for i in range(n) for j in range(n)]
-    return _algebra_spans(ident, red_gens, n, product, add) or None
+
+def _irreducible_modp(red, n):
+    """True when the algebra closure of the generators mod p spans all
+    n x n matrices."""
+    ident = [int(i == j) for i in range(n) for j in range(n)]
+    span = _spin(ident, red, n * n, lambda g, b: _modp_matmul(g, b, n, n, n),
+                 _modp_echelon())
+    return len(span) == n * n
 
 
 def _irreducible_exact(gens, n):
@@ -455,24 +478,90 @@ def _irreducible_exact(gens, n):
     algebra unchanged, so every word stays in Z[i].  Words are divided by
     their integer content.
     """
-    def product(g, b):
-        return _primitive(_zmatmul(g, b, n, n, n))
-
     ident = [(int(i == j), 0) for i in range(n) for j in range(n)]
-    return _algebra_spans(ident, [g.z for g in gens], n, product, _Echelon().add)
+    span = _spin(ident, [g.z for g in gens], n * n,
+                 lambda g, b: _primitive(_zmatmul(g, b, n, n, n)), _Echelon().add)
+    return len(span) == n * n
+
+
+def _invariant_span_holds(basis, gens, n):
+    """True when the Z[i] vectors `basis` span a proper nonzero subspace that
+    every generator (a flat row-major Z[i] list) maps into itself.
+
+    The ranks come from a fresh `_Echelon`, so the check does not trust the
+    spin that found the basis.
+    """
+    span = _Echelon()
+    for v in basis:
+        span.add(v)
+    if not 0 < len(span.rows) < n:
+        return False
+    return not any(span.add(_zmatmul(g, v, n, n, 1)) for g in gens for v in basis)
+
+
+def _reducible_by_spin(gens, red, n):
+    """True when a proper invariant subspace over Q(i) proves the tuple
+    reducible; False when the probes find none.
+
+    Each e_j is spun mod p under the generators and under their transposes
+    (the dual module), and the e_j with the smallest proper span is spun
+    again exactly over Z[i].  A proper span mod p is only a hint, since
+    reduction can drop the dimension; the exact span is the certificate.
+    """
+    dual = [_transposed(g, n) for g in red]
+    probes = []
+    for side, mats in enumerate((red, dual)):
+        for j in range(n):
+            span = _spin([int(i == j) for i in range(n)], mats, n,
+                         lambda g, v: _modp_matmul(g, v, n, n, 1), _modp_echelon())
+            if len(span) < n:
+                probes.append((len(span), side, j))
+    if not probes:
+        return False
+    _, side, j = min(probes)
+    exact = [g.z for g in gens]
+    if side:
+        exact = [_transposed(g, n) for g in exact]
+    basis = _spin([(int(i == j), 0) for i in range(n)], exact, n,
+                  lambda g, v: _primitive(_zmatmul(g, v, n, n, 1)), _Echelon().add)
+    if len(basis) == n:
+        return False
+    if not _invariant_span_holds(basis, exact, n):
+        raise AssertionError("the spin of e_%d is not a proper invariant subspace (bug)"
+                             % (j + 1))
+    return True
 
 
 def irreducible_test(t: MatrixTuple) -> bool:
     """Burnside criterion: the unital algebra spanned by all coefficient
     matrices is the full matrix algebra.
 
-    The span is computed over Q(i); its dimension is stable under field
-    extension, so the test decides absolute irreducibility.  A modular
-    closure decides the (common) spanning case quickly; anything else is
-    settled by the exact closure over Z[i].
+    The algebra is spanned over Q(i); its dimension is stable under field
+    extension, so the test decides absolute irreducibility.  Three stages:
+
+    1. The closure mod p.  Reduction can only drop the dimension of a span,
+       so a closure that reaches n^2 mod p proves the answer True.
+    2. When it falls short, probe for a proper invariant subspace by
+       spinning standard basis vectors mod p, under the generators and
+       under their transposes, and spin the best probe exactly.  A proper
+       subspace over Q(i) invariant under every generator, or under every
+       transpose (the transposed algebra has the same dimension), keeps
+       the algebra below n^2, so the answer is False.  `_invariant_span_holds`
+       rechecks the span's rank and invariance before it is believed.
+    3. Otherwise the exact closure over Z[i] decides: when p divides a
+       denominator, when reduction mod p lost the span's dimension, or when
+       every invariant subspace needs a field larger than Q(i).  A True
+       answer still comes only from a full span.
     """
+    n = t.n
     gens = [m for m in t.all_coefficients() if not m.is_zero()]
-    return bool(_irreducible_modp(gens, t.n)) or _irreducible_exact(gens, t.n)
+    red = _modp_gens(gens)
+    if red is not None:
+        if _irreducible_modp(red, n):
+            return True
+        if _reducible_by_spin(gens, red, n):
+            return False
+    return _irreducible_exact(gens, n)
 
 
 def addition_op(t: MatrixTuple, pole: int, q_coeffs, compensate=False) -> MatrixTuple:
@@ -883,11 +972,15 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
     # pole 0's reduction is transported so that its constant term is 1; the
     # other poles are reduced in that frame.  Orbit membership is invariant
     # under a constant conjugation, so the verdicts do not depend on it.
+    # When c is the identity, the tuple is already in that frame.
     form0, gauge0 = _pole_reduction(list(t.parts[0]), data, 0)
     c = gauge0[0]
-    c_inv = invert(c)
-    parts = [[c * m * c_inv for m in part] for part in t.parts]
-    reductions = {0: (form0, [g * c_inv for g in gauge0])}
+    parts = [list(part) for part in t.parts]
+    reductions = {0: (form0, gauge0)}
+    if c != ExactMatrix.identity(t.n):
+        c_inv = invert(c)
+        parts = [[c * m * c_inv for m in part] for part in parts]
+        reductions[0] = (form0, [g * c_inv for g in gauge0])
     for i in range(1, len(parts)):
         reductions[i] = _pole_reduction(parts[i], data, i)
 

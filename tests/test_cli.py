@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -93,6 +94,23 @@ def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "Traceback" in captured.err and "RecursionError" in captured.err
+
+
+def test_failed_reducibility_certificate_is_internal(tmp_path, monkeypatch, capsys):
+    # m004's tuple is reducible, so verify reaches the invariant-subspace
+    # certificate; a certificate that fails its recheck is a bug (exit 4),
+    # never invalid input (exit 2).
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                      / "perfbench" / "inputs" / "matrix-mc.json").read_text())
+    entry = next(e for e in doc["entries"] if e["name"] == "m004")
+    inst_path = write(tmp_path, "inst.json", entry["instance"])
+    tup_path = write(tmp_path, "tuple.json", entry["tuple"])
+    monkeypatch.setattr("gadsp.matrixops._invariant_span_holds",
+                        lambda basis, gens, n: False)
+    assert main(["verify", inst_path, tup_path]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "AssertionError" in captured.err and "(bug)" in captured.err
 
 
 def test_verify_and_mc_roundtrip(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from gadsp import matrixops
 from gadsp.builder import build_instance
 from gadsp.gensamples import (
     pick,
@@ -16,7 +19,10 @@ from gadsp.gensamples import (
 from gadsp.matrixops import (
     MatrixTuple,
     _irreducible_exact,
+    _invariant_span_holds,
     _irreducible_modp,
+    _modp_gens,
+    _spin,
     core_class_value,
     OrbitMismatchError,
     ResidueSumError,
@@ -42,6 +48,8 @@ from gadsp.matrixops import (
 )
 from gadsp.numeric import (
     ExactMatrix,
+    _Echelon,
+    _zmatmul,
     GaussRat,
     NonSplitError,
     ZERO,
@@ -50,6 +58,7 @@ from gadsp.numeric import (
     qi_eigenvalues,
 )
 from gadsp.quiver import reflect_composite
+from gadsp.serialize import parse_spectral, parse_tuple
 from gadsp.spectral import IrregularBlock, PoleData, ResidueSpec, make_spectral_data
 
 
@@ -270,9 +279,13 @@ def test_exact_closure_matches_reference(case):
     assert irreducible_test(MatrixTuple(n, (len(gens),), (tuple(gens),))) == expected
 
 
-def test_irreducible_exact_path_reducible_block_triangular():
+def _no_exact_closure(gens, n):
+    raise AssertionError("the exact closure must not run")
+
+
+def test_irreducible_probe_path_reducible_block_triangular(monkeypatch):
     # Blocks 3 + 2: every generator maps span(e1, e2, e3) into itself, so the
-    # modular closure cannot span and the exact closure must answer False.
+    # modular closure cannot span and the spin of e1 proves False.
     rng = random.Random(7)
     dens = (1, 2, 3, 7, 2 ** 40)
 
@@ -284,8 +297,100 @@ def test_irreducible_exact_path_reducible_block_triangular():
                                    for i in range(5)]) for _ in range(3)]
     assert len({x.re.denominator for g in gens for x in g.entries}) > 2
     t = MatrixTuple(5, (2, 1), ((gens[0], gens[1]), (gens[2],)))
-    assert _irreducible_modp(gens, 5) is None
+    assert not _irreducible_modp(_modp_gens(gens), 5)
+    monkeypatch.setattr(matrixops, "_irreducible_exact", _no_exact_closure)
     assert irreducible_test(t) is False
+
+
+@st.composite
+def conjugated_generator_sets(draw):
+    """generator_sets, conjugated by an invertible matrix of closure_entries
+    when `conjugate` is set, so the invariant subspace leaves the e_j."""
+    gens, n = draw(generator_sets())
+    if draw(st.booleans()):
+        c = ExactMatrix(n, n, draw(st.lists(closure_entries, min_size=n * n, max_size=n * n)))
+        assume(mat_rank(c) == n)
+        c_inv = invert(c)
+        gens = [c * g * c_inv for g in gens]
+    return [g for g in gens if not g.is_zero()], n
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_generator_sets())
+def test_irreducible_test_matches_exact_closure(case):
+    gens, n = case
+    t = MatrixTuple(n, (len(gens),), (tuple(gens),))
+    assert irreducible_test(t) == _irreducible_exact(gens, n)
+
+
+def test_irreducible_dual_probe_finds_the_invariant_plane(monkeypatch):
+    # span(e1 + e2) is the only invariant line, so every e_j spins to all of
+    # Q(i)^3; only the transposes keep a plane (e1 - e2, e3) spun from e3.
+    a = ExactMatrix.from_rows([[-1, 1, 0], [-1, 1, 1], [0, 0, 0]])
+    b = ExactMatrix.from_rows([[0, 0, 0], [0, 0, 0], [-1, 1, 0]])
+    n = 3
+    for j in range(n):
+        e_j = [(int(i == j), 0) for i in range(n)]
+        spun = _spin(e_j, [a.z, b.z], n, lambda g, v: _zmatmul(g, v, n, n, 1), _Echelon().add)
+        assert len(spun) == n
+    monkeypatch.setattr(matrixops, "_irreducible_exact", _no_exact_closure)
+    assert irreducible_test(MatrixTuple(n, (1, 1), ((a,), (b,)))) is False
+
+
+def test_irreducible_fallback_for_subspaces_over_a_larger_field(monkeypatch):
+    # Every generator lies in Q(i)[J] with J^2 = 2: the algebra has dimension
+    # 2 < 4, but its invariant lines are the eigenlines of J, defined only
+    # over Q(i, sqrt 2), so no probe finds a certificate.
+    j = ExactMatrix.from_rows([[0, 2], [1, 0]])
+    gens = (j, j.add_scalar(GaussRat(1, 1)), j.scale(GaussRat(Fraction(1, 3), 2)))
+    calls = []
+
+    def counted(g, n):
+        calls.append(n)
+        return _irreducible_exact(g, n)
+
+    monkeypatch.setattr(matrixops, "_irreducible_exact", counted)
+    assert irreducible_test(MatrixTuple(2, (2, 1), (gens[:2], gens[2:]))) is False
+    assert calls == [2]
+
+
+def test_invariant_span_check():
+    # a fixes e1 and maps e3 to 7 e1 + 6 e3, but e2 to 2 e1 + 3 e2 + 5 e3
+    a = ExactMatrix.from_rows([[1, 2, 7], [0, 3, 0], [0, 5, 6]])
+    one, zero = (1, 0), (0, 0)
+    e1, e2, e3 = [one, zero, zero], [zero, one, zero], [zero, zero, (0, 1)]
+    assert _invariant_span_holds([e1], [a.z], 3)
+    assert _invariant_span_holds([e1, e3], [a.z], 3)
+    assert not _invariant_span_holds([e1, e2], [a.z], 3)
+    assert not _invariant_span_holds([e2], [a.z], 3)
+    # the whole space and the zero space are invariant but not proper
+    assert not _invariant_span_holds([e1, e2, e3], [a.z], 3)
+    assert not _invariant_span_holds([[zero, zero, zero]], [a.z], 3)
+
+
+def test_failed_certificate_check_raises(monkeypatch):
+    e11 = ExactMatrix.from_rows([[1, 0], [0, 0]])
+    monkeypatch.setattr(matrixops, "_invariant_span_holds", lambda basis, gens, n: False)
+    with pytest.raises(AssertionError, match=r"\(bug\)"):
+        irreducible_test(MatrixTuple(2, (1,), ((e11,),)))
+
+
+def _matrix_mc_tuples():
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                      / "perfbench" / "inputs" / "matrix-mc.json").read_text())
+    for entry in doc["entries"]:
+        data = parse_spectral(entry["instance"])
+        t = parse_tuple(entry["tuple"], data)
+        yield entry["name"] + "/in", t
+        mc = middle_convolution(t, data, tuple(entry["multi_index"]))
+        yield entry["name"] + "/out", mc.output
+
+
+def test_matrix_mc_inputs_never_reach_the_exact_closure(monkeypatch):
+    monkeypatch.setattr(matrixops, "_irreducible_exact", _no_exact_closure)
+    verdicts = {name: irreducible_test(t) for name, t in _matrix_mc_tuples()}
+    assert len(verdicts) == 12
+    assert {name for name, ok in verdicts.items() if not ok} == {"m004/in", "m004/out"}
 
 
 def test_irreducible_exact_path_when_modp_gives_up():
@@ -295,7 +400,7 @@ def test_irreducible_exact_path_when_modp_gives_up():
     e21 = ExactMatrix.from_rows([[0, 0], [1, 0]])
     odd = ExactMatrix.from_rows([[GaussRat(Fraction(1, 2 * 1000000009), 1), 0], [0, 3]])
     t = MatrixTuple(2, (1, 2), ((odd,), (e12, e21)))
-    assert _irreducible_modp([odd, e12, e21], 2) is None
+    assert _modp_gens([odd, e12, e21]) is None
     assert irreducible_test(t) is True
 
 
