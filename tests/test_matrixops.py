@@ -285,7 +285,7 @@ def _no_exact_closure(gens, n):
 
 def test_irreducible_probe_path_reducible_block_triangular(monkeypatch):
     # Blocks 3 + 2: every generator maps span(e1, e2, e3) into itself, so the
-    # modular closure cannot span and the spin of e1 proves False.
+    # modular closure cannot span and the spin of some e_j proves False.
     rng = random.Random(7)
     dens = (1, 2, 3, 7, 2 ** 40)
 
@@ -304,8 +304,8 @@ def test_irreducible_probe_path_reducible_block_triangular(monkeypatch):
 
 @st.composite
 def conjugated_generator_sets(draw):
-    """generator_sets, conjugated by an invertible matrix of closure_entries
-    when `conjugate` is set, so the invariant subspace leaves the e_j."""
+    """generator_sets, half of them conjugated by an invertible matrix of
+    closure_entries, which moves the invariant subspace off the e_j."""
     gens, n = draw(generator_sets())
     if draw(st.booleans()):
         c = ExactMatrix(n, n, draw(st.lists(closure_entries, min_size=n * n, max_size=n * n)))
