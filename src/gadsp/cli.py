@@ -205,6 +205,18 @@ def cmd_selftest(args):
     return EXIT_SOLVABLE if not failures else EXIT_UNSOLVABLE
 
 
+def _at_least_one(text) -> int:
+    """argparse type of --max-nodes: an integer N >= 1, since no search can
+    stay within a cap below one node."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%r is not an integer" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("%d is below 1" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="gadsp",
@@ -220,7 +232,7 @@ def build_parser():
 
     p = sub.add_parser("check", help="decide solvability with certificates")
     p.add_argument("instance")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_CAP)
+    p.add_argument("--max-nodes", type=_at_least_one, default=DEFAULT_NODE_CAP)
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--reduce", action="store_true",
                    help="include a reflection-reduction trace when solvable")

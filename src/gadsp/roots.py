@@ -17,7 +17,8 @@ root.  Closing the seeds (simple roots and boxed fundamental-set members)
 under box-preserving reflections therefore yields every positive root below
 the bound.
 
-The closure carries each root's pairings (beta, eps_j) with it.  Reflecting
+The closure and the root test is_root share one pairing rule: each carries
+the pairings (beta, eps_j) of its vector along its reflections.  Reflecting
 at vertex i with c = (beta, eps_i) gives
 
     (s_i beta, eps_j) = (beta, eps_j) - c (eps_i, eps_j),
@@ -81,45 +82,69 @@ def replay_witness(q: Quiver, rc: RootClass):
     return beta
 
 
+# Every non-root shares this one (frozen) outcome.
+_NOT_ROOT = RootClass("not_root")
+
+
 def is_root(q: Quiver, beta) -> RootClass:
     """Decide real root / imaginary root / not a root.
 
-    Nonzero vectors of mixed sign are never roots.  Non-negative vectors are
-    reflected downward at any vertex pairing positively until a simple root
+    Nonzero vectors of mixed sign are never roots.  A non-negative vector is
+    reflected at the first vertex pairing positively until a simple root
     (real), a fundamental-set member (imaginary), or an exit from the
-    positive cone (not a root) is reached.
+    positive cone (not a root) is reached.  The pairings (beta, eps_j) are
+    computed once and then carried by the closure's rule: a reflection at i
+    with c = (beta, eps_i) sets entry i to -c, and each neighbor gains c
+    once per arrow.  In the cone a vertex with beta_v = 0 pairs <= 0, so the
+    first positive pairing is the pivot.
+
+    Support is checked at the two ends only: up front, and again at an
+    imaginary terminal.  A reflection changes only its pivot coordinate and
+    never enlarges the support, so each component of a disconnected vector
+    reflects on its own: the pairings at its vertices depend on its
+    coordinates alone.  A component disappears only by going negative,
+    since a lone vertex pairs 2 beta_v > 0 and reflects to -beta_v.  A chain
+    whose support splits therefore ends at not_root or at a disconnected
+    fundamental terminal, never at a simple root: the same outcome as
+    checking the support at every step.
+
+    The loop ends: the coordinate sum falls by c >= 1 on every step and
+    stays non-negative.  Every non-root gets the same shared outcome.
     """
     if len(beta) != len(q.vertices):
         raise ValueError("vector/vertex index mismatch")
     if all(b == 0 for b in beta):
-        return RootClass("not_root")
+        return _NOT_ROOT
     has_pos = any(b > 0 for b in beta)
     has_neg = any(b < 0 for b in beta)
     if has_pos and has_neg:
-        return RootClass("not_root")
+        return _NOT_ROOT
     negated = has_neg
-    cur = tuple(-b for b in beta) if negated else tuple(beta)
+    cur = [-b for b in beta] if negated else list(beta)
+    if not q.support_connected(cur):
+        return _NOT_ROOT
+    pairing = [pair_with_unit(q, cur, i) for i in range(len(cur))]
+    total = sum(cur)
     used = []
-    cap = 10 * sum(cur) + 10
-    for _ in range(cap):
-        if not q.support_connected(cur):
-            return RootClass("not_root")
-        if sum(cur) == 1:
-            return RootClass("real", negated, tuple(used), cur)
-        pivot = None
-        for idx in range(len(cur)):
-            if cur[idx] and pair_with_unit(q, cur, idx) > 0:
-                pivot = idx
+    while total != 1:
+        for pivot, c in enumerate(pairing):
+            if c > 0:
                 break
-        if pivot is None:
-            # (cur, eps_a) <= 0 at every supported vertex, hence everywhere.
-            return RootClass("imaginary", negated, tuple(used), cur)
-        v = q.vertices[pivot]
-        cur = reflect_dim(q, v, cur)
-        used.append(v)
-        if cur[pivot] < 0:
-            return RootClass("not_root")
-    raise AssertionError("root decision did not terminate (bug guard)")
+        else:
+            # (cur, eps_a) <= 0 at every vertex
+            if not q.support_connected(cur):
+                return _NOT_ROOT
+            return RootClass("imaginary", negated, tuple(used), tuple(cur))
+        moved = cur[pivot] - c
+        if moved < 0:
+            return _NOT_ROOT
+        cur[pivot] = moved
+        total -= c
+        used.append(q.vertices[pivot])
+        pairing[pivot] = -c
+        for w in q.neighbors(pivot):
+            pairing[w] += c
+    return RootClass("real", negated, tuple(used), tuple(cur))
 
 
 def fundamental_in_box(q: Quiver, bound, budget=None):

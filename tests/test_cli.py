@@ -84,6 +84,20 @@ def test_tiny_cap_exits_three(tmp_path, capsys):
     assert main(["check", path, "--max-nodes", "1"]) == 3
 
 
+def test_max_nodes_below_one_exits_two(tmp_path, capsys):
+    # a cap that no search can meet is invalid input, not an exceeded cap
+    path = write(tmp_path, "inst.json", fuchsian_doc(resonant=False))
+    for value, reason in (("0", "0 is below 1"), ("-5", "-5 is below 1"),
+                          ("two", "'two' is not an integer")):
+        with pytest.raises(SystemExit) as info:
+            main(["check", path, "--max-nodes", value])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --max-nodes: " + reason in captured.err
+        assert "search cap exceeded" not in captured.err
+
+
 def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):
     def crash(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")

@@ -17,10 +17,12 @@ from gadsp.quiver import (
     composite_eps,
     kernel_test,
     pair_with_unit,
+    reflect_dim,
     sym_form,
     tits,
 )
 from gadsp.roots import (
+    RootClass,
     SearchCapExceeded,
     box_points,
     classify_tame,
@@ -465,6 +467,118 @@ def test_closure_matches_reference(problem, cap):
                                     10**7)
     assert (_closure_outcome(positive_roots_in_box, q, bound, cap)
             == _closure_outcome(reference_positive_roots_in_box, q, bound, cap))
+
+
+# The root test as first written: the support checked and every pairing
+# recomputed on every step, under an iteration cap.
+def reference_is_root(q: Quiver, beta) -> RootClass:
+    """Decide real root / imaginary root / not a root.
+
+    Nonzero vectors of mixed sign are never roots.  Non-negative vectors are
+    reflected downward at any vertex pairing positively until a simple root
+    (real), a fundamental-set member (imaginary), or an exit from the
+    positive cone (not a root) is reached.
+    """
+    if len(beta) != len(q.vertices):
+        raise ValueError("vector/vertex index mismatch")
+    if all(b == 0 for b in beta):
+        return RootClass("not_root")
+    has_pos = any(b > 0 for b in beta)
+    has_neg = any(b < 0 for b in beta)
+    if has_pos and has_neg:
+        return RootClass("not_root")
+    negated = has_neg
+    cur = tuple(-b for b in beta) if negated else tuple(beta)
+    used = []
+    cap = 10 * sum(cur) + 10
+    for _ in range(cap):
+        if not q.support_connected(cur):
+            return RootClass("not_root")
+        if sum(cur) == 1:
+            return RootClass("real", negated, tuple(used), cur)
+        pivot = None
+        for idx in range(len(cur)):
+            if cur[idx] and pair_with_unit(q, cur, idx) > 0:
+                pivot = idx
+                break
+        if pivot is None:
+            # (cur, eps_a) <= 0 at every supported vertex, hence everywhere.
+            return RootClass("imaginary", negated, tuple(used), cur)
+        v = q.vertices[pivot]
+        cur = reflect_dim(q, v, cur)
+        used.append(v)
+        if cur[pivot] < 0:
+            return RootClass("not_root")
+    raise AssertionError("root decision did not terminate (bug guard)")
+
+
+def _split_support(q, beta, side):
+    """beta with each vertex of side False that an arrow joins to side True
+    set to zero: no arrow joins the two sides' supports."""
+    out = list(beta)
+    for s, t in q.arrow_indices():
+        if side[s] != side[t]:
+            out[t if side[s] else s] = 0
+    return tuple(out)
+
+
+@st.composite
+def root_test_vectors(draw, q, bound):
+    """A vector over the box `bound` of one of five shapes: zero, positive,
+    all-negative, mixed-sign, or positive on two sides that no arrow joins
+    (disconnected support whenever both sides keep a nonzero entry)."""
+    n = len(bound)
+    shape = draw(st.sampled_from(
+        ("zero", "positive", "negative", "mixed", "disconnected")))
+    if shape == "zero":
+        return (0,) * n
+    if shape == "mixed":
+        return tuple(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)))
+    beta = tuple(draw(st.integers(0, max(b, 1))) for b in bound)
+    if shape == "negative":
+        return tuple(-b for b in beta)
+    if shape == "disconnected":
+        side = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        return _split_support(q, beta, side)
+    return beta
+
+
+@settings(max_examples=500, deadline=None)
+@given(boxed_quivers(), st.data())
+def test_is_root_matches_reference(problem, data):
+    q, bound = problem
+    beta = data.draw(root_test_vectors(q, bound))
+    rc = is_root(q, beta)
+    # the whole outcome: kind, sign, reflections and terminal
+    assert rc == reference_is_root(q, beta)
+    if rc.kind != "not_root":
+        assert replay_witness(q, rc) == beta
+
+
+def test_is_root_chains_that_split_their_support():
+    # A3: s_b (1, 2, 1) = (1, 0, 1), then s_a leaves the cone.
+    a3 = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    # Two Kronecker pairs joined through m: s_m (1, 1, 2, 1, 1) =
+    # (1, 1, 0, 1, 1), which pairs <= 0 everywhere but is disconnected.
+    twin = Quiver(("a", "b", "m", "c", "d"),
+                  (("a", "b"), ("a", "b"), ("b", "m"), ("m", "c"),
+                   ("c", "d"), ("c", "d")))
+    for q, beta, pivot, split in ((a3, (1, 2, 1), "b", (1, 0, 1)),
+                                  (twin, (1, 1, 2, 1, 1), "m", (1, 1, 0, 1, 1))):
+        assert reflect_dim(q, pivot, beta) == split
+        assert not q.support_connected(split)
+        for sign in (1, -1):
+            vec = tuple(sign * b for b in beta)
+            assert (is_root(q, vec) == reference_is_root(q, vec)
+                    == RootClass("not_root"))
+
+
+def test_is_root_shares_one_not_root_outcome():
+    q = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    outcomes = [is_root(q, beta) for beta in
+                ((0, 0, 0), (1, -1, 0), (1, 0, 1), (1, 2, 1), (-1, -2, -1))]
+    assert all(rc is outcomes[0] for rc in outcomes)
+    assert outcomes[0] == RootClass("not_root")
 
 
 def test_closure_reaches_imaginary_and_zero_bounds():

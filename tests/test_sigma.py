@@ -1,4 +1,6 @@
 import itertools
+import json
+import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -9,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from gadsp.builder import add_shift, build_instance, lattice_rows, perm_xi
 from gadsp.gensamples import random_fuchsian_data, random_instance_data
 from gadsp.numeric import GaussRat
-from gadsp.quiver import Quiver, dot, orthogonality_rows, tits
+from gadsp.quiver import Quiver, dot, kernel_test, orthogonality_rows, tits
 from gadsp import roots, sigma
 from gadsp.roots import (
     SearchCapExceeded,
@@ -567,3 +569,40 @@ def test_forced_fallback_keeps_the_verdict(monkeypatch):
                    sigma_member(inst.quiver, inst.alpha, inst.lam))
         assert got == want
     assert closures   # the closure did run
+
+
+def _benchmark_instances():
+    """The fuchsian-agree and irregular-check instances of perfbench/inputs,
+    read only."""
+    inputs = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+    docs = [entry["instance"] for entry in
+            json.loads((inputs / "fuchsian-agree.json").read_text())["entries"]]
+    for entry in json.loads((inputs / "irregular-check.json").read_text())["entries"]:
+        path = inputs / "irregular-check" / (entry["name"] + ".json")
+        docs.append(json.loads(path.read_text()))
+    return [build_instance(normalize(parse_spectral(doc))[0]) for doc in docs]
+
+
+def test_benchmark_candidates_match_the_filtered_closure(monkeypatch):
+    # The scan root-tests each point that passes the rows; the closure never
+    # calls is_root.  Both give the same candidates in the same order, for
+    # plain and lattice membership alike.
+    tested = []
+    monkeypatch.setattr(sigma, "is_root",
+                        lambda q, beta: tested.append(beta) or roots.is_root(q, beta))
+    memberships = 0
+    for inst in _benchmark_instances():
+        q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+        closure = positive_roots_in_box(q, alpha)
+        for lattice in ((), lattice_rows(inst)):
+            monkeypatch.setattr(sigma, "_last_candidates", None)
+            candidates = sigma._decomposition_candidates(q, alpha, lam, lattice)
+            in_rows = kernel_test(lattice + orthogonality_rows(lam))
+            keyed = sorted((-tits(q, beta)[1], beta) for beta in closure
+                           if beta != alpha and in_rows(beta))
+            assert list(candidates.items()) == [(beta, -neg_p)
+                                                for neg_p, beta in keyed]
+            memberships += 1
+    assert memberships == 164
+    # most memberships scan: 7,704 points are root-tested
+    assert len(tested) > 7000
