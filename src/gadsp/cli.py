@@ -262,8 +262,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written its usage error (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except SearchCapExceeded as exc:

@@ -214,9 +214,9 @@ def htl_reduce(part, order):
             "leading coefficient is not semisimple (ramified or non-split)")
 
     pmat = hstack(bases)
-    g0 = invert(pmat)
-    total = [g0] + [ExactMatrix.zeros(n)] * (order - 1)
-    cur = [g0 * m * pmat for m in part]
+    standard = pmat == ExactMatrix.identity(n)  # the eigenbasis is e_1..e_n
+    g0 = pmat if standard else invert(pmat)
+    cur = list(part) if standard else [g0 * m * pmat for m in part]
 
     # Each gauge step solves u_rc = target_rc / (v_i - v_j) on the blocks
     # (i, j), i != j: the entrywise product with one matrix of the inverses.
@@ -226,15 +226,23 @@ def htl_reduce(part, order):
     gaps = ExactMatrix.from_rows([[inverses.get((i, j), ZERO) for j in block_of]
                                   for i in block_of])
 
+    # The gauge is unip . g0, with unip the product of the steps 1 + step x^s.
+    unip = poly_identity(n, order)
     for s in range(1, order):
         target = cur[order - s - 1]
         u = [_zmul(x, y) for x, y in zip(target.z, gaps.z)]
         if u.count((0, 0)) == len(u):
             continue
+        step = _reduced(n, n, target.d * gaps.d, u)
         g = poly_identity(n, order)
-        g[s] = _reduced(n, n, target.d * gaps.d, u)
+        g[s] = step
         cur = unipotent_conjugate(g, cur, order)
-        total = poly_mul(g, total, order)
+        # unip = (1 + step x^s) unip, from the top down; unip[0] is 1
+        for j in range(order - 1, s, -1):
+            if not unip[j - s].is_zero():
+                unip[j] = unip[j] + step * unip[j - s]
+        unip[s] = unip[s] + step
+    total = [g0] + [v if standard or v.is_zero() else v * g0 for v in unip[1:]]
 
     blocks = []
     gauges = []
@@ -244,9 +252,10 @@ def htl_reduce(part, order):
         for blk in sub_form.blocks:
             blocks.append(HtlBlock(blk.q_coeffs + (values[b],), blk.size,
                                    blk.residue))
-        gauges.append(sub_gauge + [ExactMatrix.zeros(r1 - r0)])
-    assembled = [block_diag([g[s] for g in gauges]) for s in range(order)]
-    total = poly_mul(assembled, total, order)
+        gauges.append(sub_gauge)
+    if any(g != poly_identity(g[0].rows, order - 1) for g in gauges):
+        assembled = [block_diag([g[s] for g in gauges]) for s in range(order - 1)]
+        total = poly_mul(assembled, total, order)
     return HtlForm(order, tuple(blocks)), total
 
 
@@ -284,18 +293,39 @@ def orbit_member(part, spec: OrbitSpec) -> bool:
     return _orbit_reduction(part, spec) is not None
 
 
+# The reduction of the last (pole part, order) reduced: (key, (form, gauge))
+# with the gauge a tuple, or (key, None) when the part is not split.  The
+# checks of one part against several orbits of one order share it; only one
+# entry is kept alive.
+_last_reduction = None
+
+
 def _orbit_reduction(part, spec: OrbitSpec):
     """The reduction (form, gauge) of a pole part in the orbit of spec, or
-    None when the part is not in that orbit.
+    None when the part is not in that orbit.  The gauge is a tuple.
 
     Decided by gauge reduction plus residue rank sequences against the
     annihilating sequence: the polynomial parts must match block for block
     and each reduced residue must reproduce the prescribed rank sequence.
+    The reduction depends on the part and spec.order alone, so it is
+    memoized on them; a reduction that raises anything but NonSplitError
+    stores nothing.
     """
-    try:
-        form, gauge = htl_reduce(part, spec.order)
-    except NonSplitError:
+    global _last_reduction
+    key, memo = (tuple(part), spec.order), _last_reduction
+    if memo is not None and memo[0] == key:
+        reduced = memo[1]
+    else:
+        _last_reduction = None
+        try:
+            form, gauge = htl_reduce(part, spec.order)
+            reduced = form, tuple(gauge)
+        except NonSplitError:
+            reduced = None
+        _last_reduction = (key, reduced)
+    if reduced is None:
         return None
+    form, gauge = reduced
     want = {}
     for blk in spec.blocks:
         if blk.size > 0:
@@ -980,7 +1010,7 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
     if c != ExactMatrix.identity(t.n):
         c_inv = invert(c)
         parts = [[c * m * c_inv for m in part] for part in parts]
-        reductions[0] = (form0, [g * c_inv for g in gauge0])
+        reductions[0] = (form0, tuple(g * c_inv for g in gauge0))
     for i in range(1, len(parts)):
         reductions[i] = _pole_reduction(parts[i], data, i)
 

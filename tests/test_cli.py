@@ -89,13 +89,18 @@ def test_max_nodes_below_one_exits_two(tmp_path, capsys):
     path = write(tmp_path, "inst.json", fuchsian_doc(resonant=False))
     for value, reason in (("0", "0 is below 1"), ("-5", "-5 is below 1"),
                           ("two", "'two' is not an integer")):
-        with pytest.raises(SystemExit) as info:
-            main(["check", path, "--max-nodes", value])
-        assert info.value.code == 2
+        assert main(["check", path, "--max-nodes", value]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "argument --max-nodes: " + reason in captured.err
         assert "search cap exceeded" not in captured.err
+
+
+def test_help_and_usage_errors_return_their_exit_codes(capsys):
+    assert main(["--help"]) == 0
+    assert "usage: gadsp" in capsys.readouterr().out
+    assert main([]) == 2
+    assert "usage: gadsp" in capsys.readouterr().err
 
 
 def test_internal_error_exits_four(tmp_path, monkeypatch, capsys):

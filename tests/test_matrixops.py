@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,19 +10,25 @@ from hypothesis import assume, given, settings, strategies as st
 from gadsp import matrixops
 from gadsp.builder import build_instance
 from gadsp.gensamples import (
+    _distinct_q,
     pick,
     random_gauge,
     random_htl_form,
     random_invertible,
+    random_jordan,
     random_multi_index,
     random_orbit_tuple,
 )
 from gadsp.matrixops import (
+    HtlBlock,
+    HtlForm,
     MatrixTuple,
     _irreducible_exact,
     _invariant_span_holds,
     _irreducible_modp,
     _modp_gens,
+    _ranges,
+    _scalar_value,
     _spin,
     core_class_value,
     OrbitMismatchError,
@@ -37,6 +44,7 @@ from gadsp.matrixops import (
     moment_map,
     orbit_member,
     orbit_spec_from_data,
+    poly_identity,
     poly_inverse,
     poly_mul,
     poly_times_part,
@@ -49,10 +57,15 @@ from gadsp.matrixops import (
 from gadsp.numeric import (
     ExactMatrix,
     _Echelon,
+    _reduced,
     _zmatmul,
+    _zmul,
     GaussRat,
     NonSplitError,
     ZERO,
+    block_diag,
+    eigenspace_basis,
+    hstack,
     invert,
     mat_rank,
     qi_eigenvalues,
@@ -149,6 +162,115 @@ def test_htl_reduce_fixes_normal_forms():
         # residues agree blockwise up to conjugacy; at identity gauge exactly
         assert red.part_matrices() == gauge_conjugate(gauge, form.part_matrices(),
                                                       order)
+
+
+def reference_htl_reduce(part, order):
+    """htl_reduce as it was before it built its gauge from the unipotent
+    steps and skipped identity products: every product is formed.
+
+    Reduce a pole part to block-diagonal local normal form.
+
+    Returns (HtlForm, gauge) with gauge[A]=form; blocks come out sorted by
+    their polynomial coefficient tuples from top degree down, so the order
+    is canonical.  Raises NonSplitError when a leading coefficient fails to
+    be semisimple with Q(i) eigenvalues (ramified or non-split input).
+    """
+    n = part[0].rows
+    if order == 1:
+        return HtlForm(1, (HtlBlock((), n, part[0]),)), poly_identity(n, 1)
+
+    top = part[order - 1]
+    scalar = _scalar_value(top)
+    if scalar is not None:
+        sub_form, sub_gauge = reference_htl_reduce(part[:order - 1], order - 1)
+        blocks = tuple(HtlBlock(b.q_coeffs + (scalar,), b.size, b.residue)
+                       for b in sub_form.blocks)
+        gauge = sub_gauge + [ExactMatrix.zeros(n)]
+        return HtlForm(order, blocks), gauge
+
+    eigs = qi_eigenvalues(top)
+    bases = []
+    sizes = []
+    values = []
+    for value, _ in eigs:
+        basis = eigenspace_basis(top, value)
+        if basis.cols == 0:
+            raise NonSplitError("leading coefficient has a defective eigenvalue")
+        bases.append(basis)
+        sizes.append(basis.cols)
+        values.append(value)
+    if sum(sizes) != n:
+        raise NonSplitError(
+            "leading coefficient is not semisimple (ramified or non-split)")
+
+    pmat = hstack(bases)
+    g0 = invert(pmat)
+    total = [g0] + [ExactMatrix.zeros(n)] * (order - 1)
+    cur = [g0 * m * pmat for m in part]
+
+    # Each gauge step solves u_rc = target_rc / (v_i - v_j) on the blocks
+    # (i, j), i != j: the entrywise product with one matrix of the inverses.
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    inverses = {(i, j): (values[i] - values[j]).inverse()
+                for i in range(len(values)) for j in range(len(values)) if i != j}
+    gaps = ExactMatrix.from_rows([[inverses.get((i, j), ZERO) for j in block_of]
+                                  for i in block_of])
+
+    for s in range(1, order):
+        target = cur[order - s - 1]
+        u = [_zmul(x, y) for x, y in zip(target.z, gaps.z)]
+        if u.count((0, 0)) == len(u):
+            continue
+        g = poly_identity(n, order)
+        g[s] = _reduced(n, n, target.d * gaps.d, u)
+        cur = unipotent_conjugate(g, cur, order)
+        total = poly_mul(g, total, order)
+
+    blocks = []
+    gauges = []
+    for b, (r0, r1) in enumerate(_ranges(sizes)):
+        sub_part = [cur[j].block(r0, r1, r0, r1) for j in range(order - 1)]
+        sub_form, sub_gauge = reference_htl_reduce(sub_part, order - 1)
+        for blk in sub_form.blocks:
+            blocks.append(HtlBlock(blk.q_coeffs + (values[b],), blk.size,
+                                   blk.residue))
+        gauges.append(sub_gauge + [ExactMatrix.zeros(r1 - r0)])
+    assembled = [block_diag([g[s] for g in gauges]) for s in range(order)]
+    total = poly_mul(assembled, total, order)
+    return HtlForm(order, tuple(blocks)), total
+
+
+def _nested_split_form(rng):
+    """A normal form of order 3 or 4 whose blocks but one share their top
+    coefficient: they split only one level down, so the sub-gauges of the
+    reduction are not the identity."""
+    order = rng.randint(3, 4)
+    sizes = [rng.randint(1, 2) for _ in range(rng.randint(3, 4))]
+    tops = [GaussRat(1)] * (len(sizes) - 1) + [GaussRat(-1)]
+    lower = _distinct_q(rng, len(sizes), order - 1)
+    blocks = sorted((HtlBlock(q + (top,), size, random_jordan(rng, size).as_matrix())
+                     for q, top, size in zip(lower, tops, sizes)),
+                    key=lambda b: tuple(c.sort_key() for c in reversed(b.q_coeffs)))
+    return HtlForm(order, tuple(blocks))
+
+
+def test_htl_reduce_matches_reference():
+    rng = random.Random(16)
+    parts = []
+    for _ in range(12):
+        form = _nested_split_form(rng)
+        parts.append(form.part_matrices())
+        parts.append(gauge_conjugate(random_gauge(rng, form.n, form.order),
+                                     form.part_matrices(), form.order))
+        n, order = rng.randint(1, 4), rng.randint(1, 4)
+        parts.append(gauge_conjugate(random_gauge(rng, n, order),
+                                     random_htl_form(rng, n, order).part_matrices(), order))
+        parts.extend(list(p) for p in random_orbit_tuple(rng)[1].parts)
+    for part in parts:
+        order = len(part)
+        red, gauge = htl_reduce(part, order)
+        assert (red, gauge) == reference_htl_reduce(part, order)
+        assert gauge_conjugate(gauge, part, order) == red.part_matrices()
 
 
 def _rank_profiles(block, size):
@@ -630,6 +752,106 @@ def test_orbit_check_rejects_non_split_leading_coefficient(top, pole):
     with pytest.raises(OrbitMismatchError, match="pole %d is not in its prescribed orbit"
                        % pole):
         to_quiver_rep(bad, data, inst)
+
+
+def _xi_shifted(spec):
+    """spec with every xi moved by 1, as the matrix-mc benchmark checks it."""
+    return replace(spec, blocks=tuple(replace(b, xi=tuple(x + 1 for x in b.xi))
+                                      for b in spec.blocks))
+
+
+def _counting_htl_reduce(monkeypatch):
+    """Count the calls of htl_reduce, recursive ones included, on an empty
+    reduction memo."""
+    calls = []
+    real = matrixops.htl_reduce
+
+    def counted(part, order):
+        calls.append(order)
+        return real(part, order)
+
+    monkeypatch.setattr(matrixops, "htl_reduce", counted)
+    monkeypatch.setattr(matrixops, "_last_reduction", None)
+    return calls
+
+
+def test_orbit_member_same_answer_with_a_primed_memo(monkeypatch):
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(12):
+        data, t = random_orbit_tuple(rng, n=rng.randint(1, 3), p=rng.randint(1, 2))
+        specs = [orbit_spec_from_data(data, i) for i in range(len(data.poles))]
+        for i, part in enumerate(t.parts):
+            others = [s for s in specs if s.order == specs[i].order]
+            for spec in others + [_xi_shifted(s) for s in others]:
+                monkeypatch.setattr(matrixops, "_last_reduction", None)
+                fresh = orbit_member(list(part), spec)
+                for primer in others:
+                    orbit_member(list(part), primer)
+                    assert matrixops._last_reduction[0] == (part, spec.order)
+                    assert orbit_member(list(part), spec) == fresh
+                checked += 1
+            assert orbit_member(list(part), specs[i])
+    assert checked > 50
+
+
+def test_reduction_memo_is_not_changed_by_callers(monkeypatch):
+    rng = random.Random(15)
+    data, t = random_orbit_tuple(rng, n=3, p=2)
+    inst = build_instance(data)
+    returned = []
+    real = matrixops.htl_reduce
+
+    def recorded(part, order):
+        red = real(part, order)
+        returned.append(red[1])
+        return red
+
+    monkeypatch.setattr(matrixops, "htl_reduce", recorded)
+    rep, facts = to_quiver_rep(t, data, inst)
+    (part, order), (form, gauge) = matrixops._last_reduction
+    last = len(t.parts) - 1
+    spec = orbit_spec_from_data(data, last)
+    assert order == spec.order
+    with pytest.raises(TypeError):
+        gauge[0] = ExactMatrix.zeros(t.n)
+    for g in returned:  # every list htl_reduce handed out
+        g[:] = [ExactMatrix.zeros(g[0].rows)] * len(g)
+    assert matrixops._orbit_reduction(list(part), spec) == (form, gauge)
+    assert to_quiver_rep(t, data, inst) == (rep, facts)
+    monkeypatch.setattr(matrixops, "htl_reduce", real)
+    monkeypatch.setattr(matrixops, "_last_reduction", None)
+    assert matrixops._orbit_reduction(list(part), spec) == (form, gauge)
+    assert to_quiver_rep(t, data, inst) == (rep, facts)
+
+
+def test_non_split_part_is_rejected_twice(monkeypatch):
+    data, t = _two_irregular_poles()
+    spec = orbit_spec_from_data(data, 0)
+    part = [t.parts[0][0], ExactMatrix.from_rows([[0, 2], [1, 0]])]
+    calls = _counting_htl_reduce(monkeypatch)
+    assert not orbit_member(part, spec)
+    assert matrixops._last_reduction == ((tuple(part), 2), None)
+    assert not orbit_member(part, spec)
+    assert calls == [2]
+
+
+def test_predicted_and_shifted_checks_reduce_once(monkeypatch):
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                      / "perfbench" / "inputs" / "matrix-mc.json").read_text())
+    entry = doc["entries"][0]
+    data = parse_spectral(entry["instance"])
+    res = middle_convolution(parse_tuple(entry["tuple"], data), data,
+                             tuple(entry["multi_index"]))
+    calls = _counting_htl_reduce(monkeypatch)
+    parts = [list(p) for p in res.output.parts]
+    assert orbit_member(parts[0], res.predicted[0])
+    once = len(calls)
+    assert once >= 1
+    assert not orbit_member(parts[0], _xi_shifted(res.predicted[0]))
+    assert len(calls) == once
+    assert orbit_member(parts[1], res.predicted[1])
+    assert len(calls) > once
 
 
 def test_quasi_irreducibility_via_matrix_side():
