@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Commands: quiver, check, mc, verify, selftest.  Exit codes: 0 success /
-solvable, 1 unsolvable (check) or failed checks, 2 invalid input or
-precondition failure, 3 search cap exceeded, 4 internal error (a crash,
-with its traceback on stderr; never a verdict).  All output is deterministic
-byte for byte for a fixed input and configuration.
+solvable, 1 unsolvable or failed mc cross-checks, 2 rejected input (a
+SpectralDataError, a failed verify, a usage error), 3 search cap exceeded,
+4 anything else (a crash, its traceback on stderr; never a verdict).  All
+output is deterministic byte for byte for a fixed input and configuration.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import traceback
 
 from .builder import build_instance
 from .matrixops import (
-    OrbitMismatchError,
-    ResidueSumError,
     crossing_determinants_nonzero,
     irreducible_test,
     middle_convolution,
@@ -27,7 +25,7 @@ from .matrixops import (
     residue_identity_holds,
     to_quiver_rep,
 )
-from .numeric import ExactMatrix, NonSplitError
+from .numeric import ExactMatrix
 from .roots import SearchCapExceeded
 from .serialize import (
     dumps,
@@ -53,7 +51,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
         raise SpectralDataError("cannot read %s: %s" % (path, exc)) from None
 
 
@@ -65,8 +63,11 @@ def _load_instance(path):
 
 def _emit(text, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise SpectralDataError("cannot write %s: %s" % (output, exc)) from None
     else:
         sys.stdout.write(text)
 
@@ -111,11 +112,10 @@ def cmd_check(args):
 def cmd_mc(args):
     data, inst = _load_instance(args.instance)
     t = parse_tuple(_load_json(args.tuple), data)
-    t.check_residue_sum()
     try:
         mi = tuple(int(x) for x in args.index.split(","))
     except ValueError:
-        raise SpectralDataError("multi-index must be comma-separated integers")
+        raise SpectralDataError("--index %r: not comma-separated integers" % args.index)
     result = middle_convolution(t, data, mi)
     # reflection cross-check: block sizes of s_mi(alpha) match the output
     from .quiver import reflect_composite
@@ -272,8 +272,7 @@ def main(argv=None) -> int:
     except SearchCapExceeded as exc:
         sys.stderr.write("search cap exceeded: %s\n" % exc)
         return EXIT_CAP
-    except (SpectralDataError, OrbitMismatchError, ResidueSumError,
-            NonSplitError, ValueError) as exc:
+    except SpectralDataError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return EXIT_INVALID
     except Exception:

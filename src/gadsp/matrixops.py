@@ -34,14 +34,14 @@ from .numeric import (
     solve_general,
     vstack,
 )
-from .spectral import SpectralData, shifted_products
+from .spectral import SpectralData, SpectralDataError, shifted_products
 
 
-class OrbitMismatchError(ValueError):
+class OrbitMismatchError(SpectralDataError):
     """A pole part does not lie in the prescribed truncated orbit."""
 
 
-class ResidueSumError(ValueError):
+class ResidueSumError(SpectralDataError):
     """The residue-sum-zero constraint is violated."""
 
 
@@ -734,14 +734,16 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
     """
     t.check_residue_sum()
     if len(mi) != len(data.poles):
-        raise ValueError("multi-index must pick one block per pole")
+        raise SpectralDataError("multi-index %r needs one block for each of the %d poles"
+                                % (tuple(mi), len(data.poles)))
     xi_mi = ZERO
     for i in range(len(data.poles)):
         if not 1 <= mi[i] <= data.m(i):
-            raise ValueError("multi-index block out of range")
+            raise SpectralDataError("multi-index block %d out of range 1..%d at pole %d"
+                                    % (mi[i], data.m(i), i))
         xi_mi = xi_mi + data.block(i, mi[i]).xi[0]
     if not xi_mi:
-        raise ValueError("xi_mi = 0: middle convolution undefined")
+        raise SpectralDataError("xi_mi = 0: middle convolution undefined")
 
     shifted = _scalar_shift_tuple(t, data, mi, -1)
     cd = canonical_datum(shifted)
@@ -758,7 +760,7 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
     # Im P, so other complements shear the new principal parts).
     comp = mat_kernel(q_map)
     if comp.cols != n_new:
-        raise OrbitMismatchError("canonical datum evaluation is not surjective")
+        raise AssertionError("canonical datum evaluation is not surjective (bug)")
     basis = hstack([p_map, comp])
     inv = invert(basis)
     q_prime = inv.block(t.n, dim_w, 0, dim_w)
@@ -819,7 +821,8 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
     inf = restored.parts[0]
     output = MatrixTuple(n_new, t.orders, (
         (inf[0].add_scalar(-2 * xi_mi),) + inf[1:],) + restored.parts[1:])
-    output.check_residue_sum()
+    if not output.residue_sum().is_zero():
+        raise AssertionError("output residue sum is not zero (bug)")
     return McResult(output, dim_w, n_shift, xi_new, tuple(predicted))
 
 
@@ -1105,11 +1108,9 @@ def _parallel_index(arrows, a):
 
 def _check_form_matches(form: HtlForm, data: SpectralData, i: int):
     pole = data.poles[i]
-    if len(form.blocks) != pole.m:
-        raise OrbitMismatchError("pole %d: block count mismatch" % i)
-    for blk, ref in zip(form.blocks, pole.blocks):
-        if blk.q_coeffs != ref.q_padded(pole.order) or blk.size != ref.size:
-            raise OrbitMismatchError("pole %d: block data mismatch" % i)
+    if [(b.q_coeffs, b.size) for b in form.blocks] \
+            != [(b.q_padded(pole.order), b.size) for b in pole.blocks]:
+        raise AssertionError("pole %d: reduced blocks do not match the data (bug)" % i)
 
 
 def _check_rep_shapes(inst: QuiverInstance, rep: QuiverRep):

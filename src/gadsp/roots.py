@@ -252,7 +252,9 @@ def box_points(bound, equal, at_most, limit, budget=None):
     # A partial point is its depth, the value of its last vertex and its row
     # sums.  Depth first, the partial points popped last at lower depths are
     # its ancestors, so `point` holds its earlier values.
-    tails = list(product(*(range(bound[v] + 1) for v in free)))
+    # listed only if they fit: past `limit`, the first full point returns None
+    count = box_volume([bound[v] for v in free])
+    tails = list(product(*(range(bound[v] + 1) for v in free))) if count <= limit else ()
     points = []
     point = [0] * nv
     stack = [(0, 0, [0] * len(rows))]
@@ -261,7 +263,7 @@ def box_points(bound, equal, at_most, limit, budget=None):
         if t:
             point[tied[t - 1]] = x
         if t == len(tied):
-            if len(points) + len(tails) > limit:
+            if len(points) + count > limit:
                 return None
             for tail in tails:
                 for v, y in zip(free, tail):

@@ -59,8 +59,6 @@ def _require(cond, message):
 
 def parse_spectral(document) -> SpectralData:
     """Validate an instance document and build the spectral data."""
-    if isinstance(document, (str, bytes)):
-        document = json.loads(document)
     _require(isinstance(document, dict), "document must be an object")
     _require(isinstance(document.get("rank"), int), "rank must be an integer")
     poles_doc = document.get("poles")
@@ -86,7 +84,7 @@ def parse_spectral(document) -> SpectralData:
             q_doc = blk.get("q", [])
             _require(isinstance(q_doc, list), bwhere + ": q must be a list")
             q = tuple(_parse_g(c, bwhere + " q") for c in q_doc)
-            residue = _parse_residue(blk.get("residue"), bwhere)
+            residue = _parse_residue(blk.get("residue"), size, bwhere)
             xi_doc = blk.get("xi")
             xi = ()
             if xi_doc is not None:
@@ -98,7 +96,15 @@ def parse_spectral(document) -> SpectralData:
     return make_spectral_data(document["rank"], tuple(poles))
 
 
-def _parse_residue(doc, where) -> ResidueSpec:
+def _parse_matrix(rows, size, where) -> ExactMatrix:
+    """A size x size matrix: a list of `size` lists of `size` exact strings."""
+    _require(isinstance(rows, list) and len(rows) == size
+             and all(isinstance(row, list) and len(row) == size for row in rows),
+             "%s must be a list of %d rows of %d entries" % (where, size, size))
+    return ExactMatrix.from_rows([[_parse_g(x, where) for x in row] for row in rows])
+
+
+def _parse_residue(doc, size, where) -> ResidueSpec:
     _require(isinstance(doc, dict), where + ": residue must be an object")
     if "jordan" in doc:
         jd = doc["jordan"]
@@ -115,12 +121,8 @@ def _parse_residue(doc, where) -> ResidueSpec:
             out.append((value, tuple(sizes)))
         return ResidueSpec(jordan=tuple(out))
     if "matrix" in doc:
-        rows = doc["matrix"]
-        _require(isinstance(rows, list) and rows, where + ": matrix must be non-empty")
-        parsed = [[_parse_g(x, where + " matrix entry") for x in row] for row in rows]
-        _require(all(len(r) == len(parsed) for r in parsed),
-                 where + ": residue matrix must be square")
-        return ResidueSpec(explicit=ExactMatrix.from_rows(parsed))
+        return ResidueSpec(explicit=_parse_matrix(doc["matrix"], size,
+                                                  where + " residue matrix"))
     raise SpectralDataError(where + ": residue needs jordan or matrix")
 
 
@@ -148,8 +150,7 @@ def spectral_to_document(data: SpectralData) -> dict:
 
 
 def parse_tuple(document, data: SpectralData) -> MatrixTuple:
-    if isinstance(document, (str, bytes)):
-        document = json.loads(document)
+    """Validate a tuple document against the (normalized) instance data."""
     _require(isinstance(document, dict), "tuple document must be an object")
     _require(document.get("rank") == data.rank, "tuple rank mismatch")
     poles_doc = document.get("poles")
@@ -165,15 +166,8 @@ def parse_tuple(document, data: SpectralData) -> MatrixTuple:
         _require(isinstance(mats_doc, list)
                  and len(mats_doc) == data.poles[pi].order,
                  where + ": needs one matrix per power 1..order")
-        mats = []
-        for mj, rows in enumerate(mats_doc):
-            parsed = [[_parse_g(x, "%s matrix %d" % (where, mj + 1)) for x in row]
-                      for row in rows]
-            _require(len(parsed) == data.rank
-                     and all(len(r) == data.rank for r in parsed),
-                     where + ": matrices must be rank x rank")
-            mats.append(ExactMatrix.from_rows(parsed))
-        parts.append(tuple(mats))
+        parts.append(tuple(_parse_matrix(rows, data.rank, "%s matrix %d" % (where, mj + 1))
+                           for mj, rows in enumerate(mats_doc)))
     return MatrixTuple(data.rank, tuple(p.order for p in data.poles), tuple(parts))
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from .numeric import (
     ExactMatrix,
     GaussRat,
+    NonSplitError,
     ZERO,
     block_diag,
     mat_rank,
@@ -26,7 +27,8 @@ INFINITY = "infinity"
 
 
 class SpectralDataError(ValueError):
-    """Invalid instance document or inconsistent spectral data."""
+    """Rejected input, raised only where outside input is checked (documents,
+    spectral data, tuples, multi-indices); the command line maps it to exit 2."""
 
 
 @dataclass(frozen=True)
@@ -240,10 +242,8 @@ def make_spectral_data(rank, poles) -> SpectralData:
     if not poles or poles[0].label != INFINITY:
         raise SpectralDataError("pole 0 must be the point at infinity")
     labels = [p.label for p in poles]
-    if len(set(labels)) != len(labels):
+    if len(set(labels)) != len(labels):  # so pole 0 is the only one at infinity
         raise SpectralDataError("duplicate pole labels")
-    if sum(1 for lab in labels if lab == INFINITY) != 1:
-        raise SpectralDataError("exactly one pole must be at infinity")
     out_poles = []
     for pole in poles:
         if pole.order < 1:
@@ -266,11 +266,13 @@ def make_spectral_data(rank, poles) -> SpectralData:
             raise SpectralDataError("pole %r: blocks not distinct" % pole.label)
         resolved = []
         for blk in _canonical_block_order(pole.blocks, pole.order):
-            if blk.xi:
-                resolved.append(replace(blk, ranks=rank_sequence(blk.residue, blk.xi)))
-            else:
-                xi, ranks = select_xi(blk.residue)
-                resolved.append(replace(blk, xi=xi, ranks=ranks))
+            try:
+                xi, ranks = (blk.xi, rank_sequence(blk.residue, blk.xi)) if blk.xi \
+                    else select_xi(blk.residue)
+            except NonSplitError as exc:
+                where = "pole %r block %d" % (pole.label, pole.blocks.index(blk))
+                raise SpectralDataError("%s residue: %s" % (where, exc)) from None
+            resolved.append(replace(blk, xi=xi, ranks=ranks))
         out_poles.append(PoleData(pole.label, pole.order, tuple(resolved)))
     return SpectralData(rank, tuple(out_poles))
 

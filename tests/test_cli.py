@@ -233,3 +233,106 @@ def test_consecutive_main_calls_do_not_share_options(tmp_path, capsys,
     assert "reduction" in first
     assert "reduction" not in second
     assert {k: v for k, v in first.items() if k != "reduction"} == second
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PAIR = [str(ROOT / "samples" / name) for name in ("pair_instance.json",
+                                                  "pair_tuple.json")]
+
+
+def _residue_doc(matrix):
+    """fuchsian_doc with pole a1's residue given as an explicit matrix."""
+    doc = fuchsian_doc(resonant=False)
+    doc["poles"][1]["blocks"][0]["residue"] = {"matrix": matrix}
+    return doc
+
+
+def _tuple_doc(matrix):
+    """The pair sample's tuple with its first matrix at pole 1 replaced."""
+    doc = json.loads(pathlib.Path(PAIR[1]).read_text(encoding="utf-8"))
+    doc["poles"][1]["matrices"][0] = matrix
+    return doc
+
+
+def _jordan_value_doc(value):
+    doc = fuchsian_doc(resonant=False)
+    doc["poles"][1]["blocks"][0]["residue"]["jordan"][0]["value"] = value
+    return doc
+
+
+def _rejects(capsys, argv, place):
+    """main(argv) exits 2, writes nothing to stdout, and names the place."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and place in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("value, message", [
+    (0, "numbers must be exact strings"),
+    ("1+i", "expected digits"),
+])
+def test_bad_number_exits_two_naming_its_place(tmp_path, capsys, value, message):
+    path = write(tmp_path, "inst.json", _jordan_value_doc(value))
+    _rejects(capsys, ["check", path], "pole 1 block 0 jordan value: " + message)
+
+
+@pytest.mark.parametrize("rows", [["10", "01"], [1, 0], [["1", "0"]],
+                                  [["1", "0"], ["0"]]])
+def test_malformed_residue_matrix_exits_two(tmp_path, capsys, rows):
+    # string rows were once split into characters ("10" read as [1, 0]),
+    # and number rows crashed
+    path = write(tmp_path, "inst.json", _residue_doc(rows))
+    for command in ("quiver", "check"):
+        _rejects(capsys, [command, path], "pole 1 block 0 residue matrix must be "
+                 "a list of 2 rows of 2 entries")
+
+
+@pytest.mark.parametrize("rows", [["10", "01"], [1, 0], [["1", "0", "0"], ["0", "1"]]])
+def test_malformed_tuple_matrix_exits_two(tmp_path, capsys, rows):
+    path = write(tmp_path, "tuple.json", _tuple_doc(rows))
+    for argv in (["verify", PAIR[0], path], ["mc", PAIR[0], path, "--index", "1,1"]):
+        _rejects(capsys, argv, "tuple pole 1 matrix 1 must be a list of 2 rows of "
+                 "2 entries")
+
+
+def test_explicit_residue_outside_q_i_exits_two(tmp_path, capsys):
+    path = write(tmp_path, "inst.json", _residue_doc([["0", "2"], ["1", "0"]]))
+    _rejects(capsys, ["check", path], "pole 'a1' block 0 residue: ")
+
+
+@pytest.mark.parametrize("index, place", [
+    ("1,x", "--index '1,x': not comma-separated integers"),
+    ("1", "multi-index (1,) needs one block for each of the 2 poles"),
+    ("1,3", "multi-index block 3 out of range 1..2 at pole 1"),
+])
+def test_bad_index_exits_two(capsys, index, place):
+    _rejects(capsys, ["mc", *PAIR, "--index", index], place)
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b'{"rank": ' + b"1" * 5000 + b"}"])
+def test_unreadable_json_exits_two(tmp_path, capsys, content):
+    # a non-UTF-8 file, and an integer past Python's 4,300-digit limit
+    path = tmp_path / "inst.json"
+    path.write_bytes(content)
+    _rejects(capsys, ["check", str(path)], "cannot read %s: " % path)
+
+
+def test_unwritable_output_exits_two(tmp_path, capsys):
+    inst = str(ROOT / "samples" / "fuchsian_solvable.json")
+    out = tmp_path / "missing" / "out.json"
+    _rejects(capsys, ["check", inst, "--output", str(out)], "cannot write %s: " % out)
+
+
+def test_internal_value_error_exits_four(monkeypatch, capsys):
+    # a ValueError from inside the matrix layer is a bug, not rejected input
+    def broken(*args, **kwargs):
+        raise ValueError("could not complete basis")
+
+    monkeypatch.setattr("gadsp.matrixops.complete_basis", broken)
+    assert main(["mc", *PAIR, "--index", "1,1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" in captured.err
+    assert "ValueError: could not complete basis" in captured.err

@@ -25,6 +25,10 @@ GOLDEN = ROOT / "tests" / "golden"
 INSTANCES = ("fuchsian_resonant", "fuchsian_solvable", "irregular_order2",
              "pair_instance")
 PAIR = ("samples/pair_instance.json", "samples/pair_tuple.json")
+# An order-5 pole whose leading coefficient has three eigenvalues: its
+# reduction takes four unipotent steps, and verify reads the x^3 coefficient
+# of that gauge through factor_pole, so these bytes pin the gauge's value.
+ORDER5 = ("samples/order5_instance.json", "samples/order5_tuple.json")
 
 
 def _cases():
@@ -39,6 +43,8 @@ def _cases():
     for index in ("1,1", "1,2", "2,1", "2,2"):
         cases["mc-%s" % index.replace(",", "")] = ["mc", *PAIR, "--index", index]
     cases["verify"] = ["verify", *PAIR]
+    cases["verify-order5"] = ["verify", *ORDER5]
+    cases["mc-order5-11"] = ["mc", *ORDER5, "--index", "1,1"]
     for seed in (1, 7):
         cases["selftest-seed%d" % seed] = ["selftest", "--seed", str(seed)]
     return cases

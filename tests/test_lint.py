@@ -1,5 +1,5 @@
-"""Source checks on src/gadsp: known memory pitfalls stay out, and the module
-state stays the one README lists.
+"""Source checks on src/gadsp: known memory pitfalls stay out, the module
+state stays the one README lists, and rejected input keeps one class.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -65,3 +65,55 @@ def test_the_check_sees_nested_global_statements():
     tree = ast.parse("def f():\n    global a, b\n"
                      "class C:\n    def g(self):\n        global c\n")
     assert sorted(_global_names(tree)) == ["a", "b", "c"]
+
+
+# Rejected input is one class: the input modules raise nothing else, and the
+# command line maps that class alone to exit 2 (ValueError from anywhere
+# else is a bug and exits 4).
+INPUT_MODULES = ("serialize", "spectral")
+
+
+def _raises_other_than_spectral_data_error(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not (isinstance(exc, ast.Name) and exc.id == "SpectralDataError"):
+                yield node.lineno
+
+
+def _invalid_input_handlers(tree):
+    """The exception types (as source) of each handler in main that returns
+    EXIT_INVALID."""
+    main = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    for node in ast.walk(main):
+        if isinstance(node, ast.ExceptHandler) and any(
+                isinstance(ret, ast.Return) and isinstance(ret.value, ast.Name)
+                and ret.value.id == "EXIT_INVALID" for ret in ast.walk(node)):
+            yield ast.unparse(node.type)
+
+
+def test_input_modules_raise_only_spectral_data_error():
+    found = ["%s:%d" % (path.name, line) for path in SOURCES
+             if path.stem in INPUT_MODULES
+             for line in _raises_other_than_spectral_data_error(
+                 ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_main_maps_only_spectral_data_error_to_exit_two():
+    cli = next(path for path in SOURCES if path.stem == "cli")
+    assert list(_invalid_input_handlers(ast.parse(cli.read_text(), str(cli)))) \
+        == ["SpectralDataError"]
+
+
+def test_the_checks_see_other_input_errors():
+    tree = ast.parse("raise SpectralDataError('a')\nraise SpectralDataError\n"
+                     "raise ValueError('b')\nraise\nraise errors.SpectralDataError('c')\n")
+    assert list(_raises_other_than_spectral_data_error(tree)) == [3, 4, 5]
+    tree = ast.parse("def main():\n    try:\n        pass\n"
+                     "    except SearchCapExceeded:\n        return EXIT_CAP\n"
+                     "    except (SpectralDataError, ValueError):\n        return EXIT_INVALID\n"
+                     "    except OSError:\n        return EXIT_INVALID\n")
+    assert list(_invalid_input_handlers(tree)) == ["(SpectralDataError, ValueError)",
+                                                   "OSError"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import deque
 from operator import mul
 
@@ -696,6 +697,25 @@ def test_box_points_work_on_tiny_boxes():
         budget = [100]
         assert set(scan(budget)) == points
         assert 100 - budget[0] == work
+
+
+def test_box_points_count_free_vertices_before_listing_them():
+    # Bound (1, 4, ..., 4) on ten vertices with one row on vertex 0: the nine
+    # free vertices span 5^9 = 1,953,125 points, past the limit, so the scan
+    # returns None without listing them (which took about 240 MB).
+    bound, rows = (1,) + (4,) * 9, [(1,) + (0,) * 9]
+    tracemalloc.start()
+    try:
+        assert box_points(bound, rows, (), 10_000) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # a free box that fits is listed whole, and one point past the limit is not
+    small = (1, 4, 4)
+    assert sorted(box_points(small, [(1, 0, 0)], (), 25)) == \
+        [(0, b, c) for b in range(5) for c in range(5)]
+    assert box_points(small, [(1, 0, 0)], (), 24) is None
 
 
 @settings(max_examples=300, deadline=None)
