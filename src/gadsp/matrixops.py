@@ -116,7 +116,7 @@ def gauge_conjugate(g, part, order):
 
 def poly_times_part(g, part, order):
     """One-sided product g . A, truncated to the x^-1..x^-order window."""
-    n = part[0].rows
+    n = g[0].rows
     out = [ExactMatrix.zeros(n) for _ in range(order)]
     for b in range(1, order + 1):
         ab = part[b - 1]
@@ -925,26 +925,28 @@ def factor_pole(pole, part, order, form: HtlForm, gauge):
     g0_inv = invert(g0)
     a_part = [g0 * m * g0_inv for m in part]
     v = [g * g0_inv for g in gauge]
-    g_low = poly_inverse(v, order)  # the G^o gauge carrying pr_irr(A) to the form
+    # Q and P have levels 1..order-2, and none of them needs a gauge, u_-
+    # or (u_-)^{-1} coefficient past level order - 2.
+    top = order - 1
+    g_low = poly_inverse(v, top)  # the G^o gauge carrying pr_irr(A) to the form
 
-    u_minus = poly_identity(n, order)
-    p_plus = poly_identity(n, order)
-    for s in range(1, order):
+    u_minus = poly_identity(n, top)
+    p_plus = poly_identity(n, top)
+    for s in range(1, top):
         acc = ExactMatrix.zeros(n)
         for j in range(1, s):
             if not u_minus[j].is_zero() and not p_plus[s - j].is_zero():
                 acc = acc + u_minus[j] * p_plus[s - j]
         residual = g_low[s] - acc
-        # at level `order` all blocks form one group, so nothing is lower
         u_minus[s] = _graded_part(residual, form, s + 1, 1)
         p_plus[s] = residual - u_minus[s]
 
-    q_coeffs = tuple(u_minus[s] for s in range(1, max(order - 1, 1)))
-    irr = [ExactMatrix.zeros(n)] + list(a_part[1:])  # kill the residue level
-    u_minus_inv = poly_inverse(u_minus, order)
-    a_prime = poly_times_part(u_minus_inv, irr, order)
-    p_coeffs = tuple(_graded_part(a_prime[s], form, s + 1, -1)
-                     for s in range(1, max(order - 1, 1)))
+    q_coeffs = tuple(u_minus[1:])
+    # (u_-)^{-1} A' without the residue level x^-1: a_prime[s - 1] is the
+    # x^-(s+1) coefficient
+    a_prime = poly_times_part(poly_inverse(u_minus, top), a_part[1:], top)
+    p_coeffs = tuple(_graded_part(a_prime[s - 1], form, s + 1, -1)
+                     for s in range(1, top))
     return PoleFactorization(pole, tuple(a_part), form, g0_inv, q_coeffs, p_coeffs)
 
 

@@ -9,6 +9,7 @@ in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from math import lcm
 from operator import mul
 
@@ -20,9 +21,14 @@ class Quiver:
     vertices: tuple
     arrows: tuple  # (source, target) pairs, parallel arrows repeated
 
+    # Derived from the two above.  nbrs: the neighbour indices of each vertex,
+    # one entry per arrow.  Bit i of a mask stands for vertex i: _bits holds
+    # each vertex's own bit, _nbr_masks the bits of its neighbours.
+    nbrs: tuple = field(init=False, repr=False, compare=False)
     _index: dict = field(init=False, repr=False, compare=False)
-    _nbrs: tuple = field(init=False, repr=False, compare=False)
     _arrow_idx: tuple = field(init=False, repr=False, compare=False)
+    _bits: tuple = field(init=False, repr=False, compare=False)
+    _nbr_masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         idx = {v: i for i, v in enumerate(self.vertices)}
@@ -37,9 +43,12 @@ class Quiver:
             nbrs[si].append(ti)
             nbrs[ti].append(si)
             arrow_idx.append((si, ti))
+        object.__setattr__(self, "nbrs", tuple(tuple(n) for n in nbrs))
         object.__setattr__(self, "_index", idx)
-        object.__setattr__(self, "_nbrs", tuple(tuple(n) for n in nbrs))
         object.__setattr__(self, "_arrow_idx", tuple(arrow_idx))
+        object.__setattr__(self, "_bits", tuple(1 << i for i in range(len(idx))))
+        object.__setattr__(self, "_nbr_masks",
+                           tuple(sum(1 << w for w in set(n)) for n in nbrs))
 
     def __len__(self):
         return len(self.vertices)
@@ -51,28 +60,32 @@ class Quiver:
         i = self.index(v)
         return tuple(1 if k == i else 0 for k in range(len(self.vertices)))
 
-    def neighbors(self, vidx: int) -> tuple:
-        """Neighbor vertex indices, one entry per adjacent arrow (multiplicity)."""
-        return self._nbrs[vidx]
-
     def arrow_indices(self) -> tuple:
         """(source index, target index) per arrow, in arrow order."""
         return self._arrow_idx
 
     def support_connected(self, beta) -> bool:
-        supp = [i for i, b in enumerate(beta) if b]
-        if not supp:
+        """Whether the vertices where beta is nonzero span a connected
+        subquiver; False for the zero vector.
+
+        A search over bitmasks: `left` holds the support not yet reached and
+        `todo` the reached vertices whose neighbours are still to be added.
+        """
+        left = sum(compress(self._bits, beta))
+        todo = left & -left
+        if not todo:
             return False
-        supp_set = set(supp)
-        seen = {supp[0]}
-        stack = [supp[0]]
-        while stack:
-            v = stack.pop()
-            for w in self._nbrs[v]:
-                if w in supp_set and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(supp)
+        masks = self._nbr_masks
+        while todo:
+            low = todo & -todo
+            left ^= low
+            todo = (todo | masks[low.bit_length() - 1]) & left
+        return not left
+
+    def pairings(self, beta) -> list:
+        """Every (beta, eps_j), in vertex order: 2 beta_j less beta_w once
+        per arrow between j and w."""
+        return [2 * b - sum([beta[w] for w in nb]) for b, nb in zip(beta, self.nbrs)]
 
 
 def euler_form(q: Quiver, a, b) -> int:
@@ -100,7 +113,7 @@ def tits(q: Quiver, a):
 
 def pair_with_unit(q: Quiver, beta, vidx: int) -> int:
     """(beta, eps_v) computed locally: 2 beta_v - sum of neighbor values."""
-    return 2 * beta[vidx] - sum(beta[w] for w in q.neighbors(vidx))
+    return 2 * beta[vidx] - sum(beta[w] for w in q.nbrs[vidx])
 
 
 def reflect_dim(q: Quiver, v, beta) -> tuple:
@@ -118,7 +131,7 @@ def reflect_param(q: Quiver, v, lam) -> tuple:
     lv = lam[i]
     out = list(lam)
     out[i] = out[i] - 2 * lv
-    for w in q.neighbors(i):
+    for w in q.nbrs[i]:
         out[w] = out[w] + lv
     return tuple(out)
 

@@ -24,7 +24,12 @@ at vertex i with c = (beta, eps_i) gives
     (s_i beta, eps_j) = (beta, eps_j) - c (eps_i, eps_j),
 
 so entry i becomes -c, each neighbor j of i gains c once per arrow between
-them, and every other entry is unchanged.
+them, and every other entry is unchanged.  Both read the adjacency that a
+Quiver computes once, when it is built: a vector's first pairings come from
+one pass over the neighbour tuples (Quiver.pairings), and every support test
+here (is_root, the fundamental set, the quasi-fundamental set) is a search
+over the neighbour bitmasks (Quiver.support_connected).  So is_root costs
+about what its reflection walk costs.
 
 The decision core mostly avoids the closure: its candidates satisfy integer
 equalities, so it scans the box points on which its rows vanish with
@@ -89,14 +94,17 @@ _NOT_ROOT = RootClass("not_root")
 def is_root(q: Quiver, beta) -> RootClass:
     """Decide real root / imaginary root / not a root.
 
-    Nonzero vectors of mixed sign are never roots.  A non-negative vector is
-    reflected at the first vertex pairing positively until a simple root
-    (real), a fundamental-set member (imaginary), or an exit from the
+    The zero vector, vectors of mixed sign (one min/max pass) and vectors
+    with disconnected support (a search over the quiver's neighbour
+    bitmasks, Quiver.support_connected) are never roots.  A non-negative
+    vector is reflected at the first vertex pairing positively until a simple
+    root (real), a fundamental-set member (imaginary), or an exit from the
     positive cone (not a root) is reached.  The pairings (beta, eps_j) are
-    computed once and then carried by the closure's rule: a reflection at i
-    with c = (beta, eps_i) sets entry i to -c, and each neighbor gains c
-    once per arrow.  In the cone a vertex with beta_v = 0 pairs <= 0, so the
-    first positive pairing is the pivot.
+    computed once, in one pass over the quiver's neighbour tuples
+    (Quiver.pairings), and then carried by the closure's rule: a reflection
+    at i with c = (beta, eps_i) sets entry i to -c, and each neighbor gains
+    c once per arrow.  In the cone a vertex with beta_v = 0 pairs <= 0, so
+    the first positive pairing is the pivot.
 
     Support is checked at the two ends only: up front, and again at an
     imaginary terminal.  A reflection changes only its pivot coordinate and
@@ -113,17 +121,13 @@ def is_root(q: Quiver, beta) -> RootClass:
     """
     if len(beta) != len(q.vertices):
         raise ValueError("vector/vertex index mismatch")
-    if all(b == 0 for b in beta):
+    lo, hi = min(beta, default=0), max(beta, default=0)
+    if lo < 0 < hi or not q.support_connected(beta):
         return _NOT_ROOT
-    has_pos = any(b > 0 for b in beta)
-    has_neg = any(b < 0 for b in beta)
-    if has_pos and has_neg:
-        return _NOT_ROOT
-    negated = has_neg
+    negated = lo < 0
     cur = [-b for b in beta] if negated else list(beta)
-    if not q.support_connected(cur):
-        return _NOT_ROOT
-    pairing = [pair_with_unit(q, cur, i) for i in range(len(cur))]
+    pairing = q.pairings(cur)
+    nbrs = q.nbrs
     total = sum(cur)
     used = []
     while total != 1:
@@ -142,7 +146,7 @@ def is_root(q: Quiver, beta) -> RootClass:
         total -= c
         used.append(q.vertices[pivot])
         pairing[pivot] = -c
-        for w in q.neighbors(pivot):
+        for w in nbrs[pivot]:
             pairing[w] += c
     return RootClass("real", negated, tuple(used), tuple(cur))
 
@@ -159,7 +163,7 @@ def fundamental_in_box(q: Quiver, bound, budget=None):
     cartan = [[0] * nv for _ in range(nv)]
     for v in range(nv):
         cartan[v][v] = 2
-        for w in q.neighbors(v):
+        for w in q.nbrs[v]:
             cartan[v][w] -= 1
     try:
         points = box_points(bound, (), cartan, box_volume(bound), budget)
@@ -177,13 +181,13 @@ def positive_roots_in_box(q: Quiver, bound, budget=None):
     if budget is None:
         budget = [DEFAULT_WORK_CAP]
     nv = len(q.vertices)
-    nbrs = [q.neighbors(i) for i in range(nv)]
+    nbrs = q.nbrs
     found = {}
     queue = deque()
 
     def seed(beta, kind):
         found[beta] = kind
-        queue.append((beta, [pair_with_unit(q, beta, i) for i in range(nv)]))
+        queue.append((beta, q.pairings(beta)))
 
     for i in range(nv):
         if bound[i] >= 1:

@@ -52,6 +52,11 @@ def _parse_g(value, where):
         raise SpectralDataError("%s: %s" % (where, exc)) from None
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int in Python, but true is not 1 here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(cond, message):
     if not cond:
         raise SpectralDataError(message)
@@ -60,7 +65,7 @@ def _require(cond, message):
 def parse_spectral(document) -> SpectralData:
     """Validate an instance document and build the spectral data."""
     _require(isinstance(document, dict), "document must be an object")
-    _require(isinstance(document.get("rank"), int), "rank must be an integer")
+    _require(_is_int(document.get("rank")), "rank must be an integer")
     poles_doc = document.get("poles")
     _require(isinstance(poles_doc, list) and poles_doc, "poles must be a non-empty list")
     poles = []
@@ -70,7 +75,7 @@ def parse_spectral(document) -> SpectralData:
         label = pole_doc.get("point")
         _require(isinstance(label, str) and label, where + ": point tag required")
         order = pole_doc.get("order")
-        _require(isinstance(order, int) and order >= 1, where + ": order must be >= 1")
+        _require(_is_int(order) and order >= 1, where + ": order must be >= 1")
         blocks_doc = pole_doc.get("blocks")
         _require(isinstance(blocks_doc, list) and blocks_doc,
                  where + ": blocks must be a non-empty list")
@@ -79,7 +84,7 @@ def parse_spectral(document) -> SpectralData:
             bwhere = "%s block %d" % (where, bi)
             _require(isinstance(blk, dict), bwhere + " must be an object")
             size = blk.get("size")
-            _require(isinstance(size, int) and size >= 1,
+            _require(_is_int(size) and size >= 1,
                      bwhere + ": size must be >= 1")
             q_doc = blk.get("q", [])
             _require(isinstance(q_doc, list), bwhere + ": q must be a list")
@@ -116,7 +121,7 @@ def _parse_residue(doc, size, where) -> ResidueSpec:
             value = _parse_g(item["value"], where + " jordan value")
             sizes = item["blocks"]
             _require(isinstance(sizes, list) and sizes
-                     and all(isinstance(b, int) and b >= 1 for b in sizes),
+                     and all(_is_int(b) and b >= 1 for b in sizes),
                      where + ": jordan blocks must be positive integers")
             out.append((value, tuple(sizes)))
         return ResidueSpec(jordan=tuple(out))

@@ -278,6 +278,26 @@ def test_bad_number_exits_two_naming_its_place(tmp_path, capsys, value, message)
     _rejects(capsys, ["check", path], "pole 1 block 0 jordan value: " + message)
 
 
+def _rank_one_doc(rank=1, order=1, size=1, blocks=1):
+    return {"rank": rank, "poles": [{"point": "infinity", "order": order, "blocks": [
+        {"size": size, "q": [], "residue": {"jordan": [
+            {"value": "0", "blocks": [blocks]}]}}]}]}
+
+
+@pytest.mark.parametrize("doc, place", [
+    # JSON true is a Python int, and this document once parsed to rank-1 data
+    (_rank_one_doc(True, True, True, True), "rank must be an integer"),
+    (_rank_one_doc(rank=True), "rank must be an integer"),
+    (_rank_one_doc(order=True), "pole 0: order must be >= 1"),
+    (_rank_one_doc(size=True), "pole 0 block 0: size must be >= 1"),
+    (_rank_one_doc(blocks=True), "pole 0 block 0: jordan blocks must be positive"),
+])
+def test_boolean_integers_exit_two(tmp_path, capsys, doc, place):
+    assert main(["quiver", write(tmp_path, "ok.json", _rank_one_doc())]) == 0
+    capsys.readouterr()
+    _rejects(capsys, ["check", write(tmp_path, "inst.json", doc)], place)
+
+
 @pytest.mark.parametrize("rows", [["10", "01"], [1, 0], [["1", "0"]],
                                   [["1", "0"], ["0"]]])
 def test_malformed_residue_matrix_exits_two(tmp_path, capsys, rows):

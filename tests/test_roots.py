@@ -108,7 +108,7 @@ def test_fundamental_in_box_d4():
     for d in deltas:
         assert d in found
     for beta in found:
-        assert all(2 * beta[i] - sum(beta[w] for w in q.neighbors(i)) <= 0
+        assert all(2 * beta[i] - sum(beta[w] for w in q.nbrs[i]) <= 0
                    for i in range(5))
 
 
@@ -470,6 +470,26 @@ def test_closure_matches_reference(problem, cap):
             == _closure_outcome(reference_positive_roots_in_box, q, bound, cap))
 
 
+def reference_support_connected(q, beta):
+    """Whether the vertices where beta is nonzero span a connected
+    subquiver: a breadth-first search over the arrows, which shares nothing
+    with Quiver.support_connected."""
+    supp = {i for i, b in enumerate(beta) if b}
+    if not supp:
+        return False
+    start = min(supp)
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        v = queue.popleft()
+        for s, t in q.arrow_indices():
+            w = t if s == v else s if t == v else None
+            if w in supp and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen == supp
+
+
 # The root test as first written: the support checked and every pairing
 # recomputed on every step, under an iteration cap.
 def reference_is_root(q: Quiver, beta) -> RootClass:
@@ -493,7 +513,7 @@ def reference_is_root(q: Quiver, beta) -> RootClass:
     used = []
     cap = 10 * sum(cur) + 10
     for _ in range(cap):
-        if not q.support_connected(cur):
+        if not reference_support_connected(q, cur):
             return RootClass("not_root")
         if sum(cur) == 1:
             return RootClass("real", negated, tuple(used), cur)
@@ -556,6 +576,15 @@ def test_is_root_matches_reference(problem, data):
         assert replay_witness(q, rc) == beta
 
 
+@settings(max_examples=500, deadline=None)
+@given(boxed_quivers(), st.data())
+def test_support_connected_matches_search(problem, data):
+    # parallel arrows, isolated vertices, signs and the zero vector
+    q, bound = problem
+    beta = data.draw(root_test_vectors(q, bound))
+    assert q.support_connected(beta) == reference_support_connected(q, beta)
+
+
 def test_is_root_chains_that_split_their_support():
     # A3: s_b (1, 2, 1) = (1, 0, 1), then s_a leaves the cone.
     a3 = Quiver(("a", "b", "c"), (("a", "b"), ("b", "c")))
@@ -567,7 +596,7 @@ def test_is_root_chains_that_split_their_support():
     for q, beta, pivot, split in ((a3, (1, 2, 1), "b", (1, 0, 1)),
                                   (twin, (1, 1, 2, 1, 1), "m", (1, 1, 0, 1, 1))):
         assert reflect_dim(q, pivot, beta) == split
-        assert not q.support_connected(split)
+        assert not reference_support_connected(q, split)
         for sign in (1, -1):
             vec = tuple(sign * b for b in beta)
             assert (is_root(q, vec) == reference_is_root(q, vec)
@@ -601,14 +630,14 @@ def reference_fundamental_in_box(q, bound):
     nv = len(q.vertices)
     if nv == 0:
         return []
-    start = max(range(nv), key=lambda i: (len(q.neighbors(i)), -i))
+    start = max(range(nv), key=lambda i: (len(q.nbrs[i]), -i))
     order = []
     seen = {start}
     dq = deque([start])
     while dq:
         v = dq.popleft()
         order.append(v)
-        for w in q.neighbors(v):
+        for w in q.nbrs[v]:
             if w not in seen:
                 seen.add(w)
                 dq.append(w)
@@ -617,7 +646,7 @@ def reference_fundamental_in_box(q, bound):
             seen.add(v)
             order.append(v)
     pos_of = {v: t for t, v in enumerate(order)}
-    last_nbr_pos = [max([pos_of[w] for w in q.neighbors(v)] + [pos_of[v]])
+    last_nbr_pos = [max([pos_of[w] for w in q.nbrs[v]] + [pos_of[v]])
                     for v in range(nv)]
     out = []
     values = [0] * nv
@@ -628,7 +657,7 @@ def reference_fundamental_in_box(q, bound):
                 continue
             assigned_sum = 0
             slack = 0
-            for w in q.neighbors(v):
+            for w in q.nbrs[v]:
                 if pos_of[w] <= t:
                     assigned_sum += values[w]
                 else:
@@ -644,7 +673,7 @@ def reference_fundamental_in_box(q, bound):
     def descend(t):
         if t == nv:
             beta = tuple(values[v] for v in range(nv))
-            if any(beta) and q.support_connected(beta):
+            if reference_support_connected(q, beta):
                 out.append(beta)
             return
         v = order[t]
@@ -747,7 +776,6 @@ def test_kernel_points_match_brute_force(problem, data):
     # the fundamental set is the box points that pair <= 0 with every simple
     # root, nonzero and with connected support
     units = [q.unit(v) for v in q.vertices]
-    fundamental = [beta for beta in whole if any(beta)
-                   and q.support_connected(beta)
+    fundamental = [beta for beta in whole if reference_support_connected(q, beta)
                    and all(sym_form(q, beta, eps) <= 0 for eps in units)]
     assert fundamental_in_box(q, bound) == fundamental
