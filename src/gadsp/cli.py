@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Commands: quiver, check, mc, verify, selftest.  Exit codes: 0 success /
-solvable, 1 unsolvable or failed mc cross-checks, 2 rejected input (a
-SpectralDataError, a failed verify, a usage error), 3 search cap exceeded,
+solvable, 1 unsolvable or failed checks (mc cross-checks, verify checks),
+2 rejected input (a SpectralDataError, a usage error), 3 search cap exceeded,
 4 anything else (a crash, its traceback on stderr; never a verdict).  All
 output is deterministic byte for byte for a fixed input and configuration.
 """
@@ -175,7 +175,7 @@ def cmd_verify(args):
     report = {"checks": checks, "irreducible": irreducible,
               "ok": all(checks.values())}
     _emit(dumps(report), args.output)
-    return EXIT_SOLVABLE if report["ok"] else EXIT_INVALID
+    return EXIT_SOLVABLE if report["ok"] else EXIT_UNSOLVABLE
 
 
 def cmd_selftest(args):

@@ -1,7 +1,7 @@
 """Root-system engine: classification, boxed enumeration, quasi-fundamental
 set, and lifts into the auxiliary Kac-Moody lattice.
 
-One scanner, box_points, lists the integer points of a box under integer
+One scanner, box_points, streams the integer points of a box under integer
 linear conditions, "== 0" rows and "<= 0" rows: depth first, it gives each
 vertex only the values that keep every row's partial sum inside the range
 its unassigned terms can still reach (interval propagation; Schrijver,
@@ -31,9 +31,9 @@ here (is_root, the fundamental set, the quasi-fundamental set) is a search
 over the neighbour bitmasks (Quiver.support_connected).  So is_root costs
 about what its reflection walk costs.
 
-The decision core mostly avoids the closure: its candidates satisfy integer
-equalities, so it scans the box points on which its rows vanish with
-box_points, and decides each point by is_root.
+The decision core uses the closure only when its candidates satisfy no
+integer row.  Otherwise it scans the box points on which its rows vanish
+with box_points, and decides each point by is_root.
 """
 
 from __future__ import annotations
@@ -166,10 +166,11 @@ def fundamental_in_box(q: Quiver, bound, budget=None):
         for w in q.nbrs[v]:
             cartan[v][w] -= 1
     try:
-        points = box_points(bound, (), cartan, box_volume(bound), budget)
+        members = [beta for beta in box_points(bound, (), cartan, budget)
+                   if any(beta) and q.support_connected(beta)]
     except SearchCapExceeded:
         raise SearchCapExceeded("fundamental-set scan budget exhausted") from None
-    return sorted(beta for beta in points if any(beta) and q.support_connected(beta))
+    return sorted(members)
 
 
 def positive_roots_in_box(q: Quiver, bound, budget=None):
@@ -218,19 +219,21 @@ def positive_roots_in_box(q: Quiver, bound, budget=None):
     return found
 
 
-def box_points(bound, equal, at_most, limit, budget=None):
-    """The integer points 0 <= beta <= bound with row . beta == 0 for every
-    row of `equal` and row . beta <= 0 for every row of `at_most`, in no
-    fixed order; None when more than `limit` pass.
+def box_points(bound, equal, at_most, budget=None):
+    """Yield the integer points 0 <= beta <= bound with row . beta == 0 for
+    every row of `equal` and row . beta <= 0 for every row of `at_most`,
+    each once, in no fixed order.
 
     Vertices with a nonzero column are assigned first, depth first, by
     decreasing weight sum_r |row_v| * bound_v, each only to the values that
     keep every row's partial sum inside the range its unassigned terms can
     still cancel; the other vertices are free and range over their whole box
-    last.  A "<= 0" row is an equality with a slack in [0, sum of the
-    weights], which is at least -(the least row . beta over the box).  The
-    scan stops as soon as more than `limit` points are certain to pass.
-    Each partial point kept costs one unit of work, charged to `budget`.
+    under each full point.  A "<= 0" row is an equality with a slack in
+    [0, sum of the weights], which is at least -(the least row . beta over
+    the box).  The points stream: nothing is listed, so memory stays at the
+    depth-first stack however many points pass.  Each partial point kept
+    costs one unit of work, charged to `budget` as the scan reaches it; the
+    free vertices cost nothing.
     """
     if budget is None:
         budget = [DEFAULT_WORK_CAP]
@@ -256,10 +259,7 @@ def box_points(bound, equal, at_most, limit, budget=None):
     # A partial point is its depth, the value of its last vertex and its row
     # sums.  Depth first, the partial points popped last at lower depths are
     # its ancestors, so `point` holds its earlier values.
-    # listed only if they fit: past `limit`, the first full point returns None
-    count = box_volume([bound[v] for v in free])
-    tails = list(product(*(range(bound[v] + 1) for v in free))) if count <= limit else ()
-    points = []
+    ranges = [range(bound[v] + 1) for v in free]
     point = [0] * nv
     stack = [(0, 0, [0] * len(rows))]
     while stack:
@@ -267,12 +267,10 @@ def box_points(bound, equal, at_most, limit, budget=None):
         if t:
             point[tied[t - 1]] = x
         if t == len(tied):
-            if len(points) + count > limit:
-                return None
-            for tail in tails:
+            for tail in product(*ranges):
                 for v, y in zip(free, tail):
                     point[v] = y
-                points.append(tuple(point))
+                yield tuple(point)
             continue
         # keep -hi <= s + c x <= -lo for every row
         column = columns[t]
@@ -297,7 +295,6 @@ def box_points(bound, equal, at_most, limit, budget=None):
             for r, c, _, _ in column:
                 moved[r] += c * x
             stack.append((t + 1, x, moved))
-    return points
 
 
 def box_volume(bound) -> int:

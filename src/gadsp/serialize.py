@@ -39,10 +39,6 @@ from .spectral import (
 )
 
 
-def _g(value) -> str:
-    return str(value)
-
-
 def _parse_g(value, where):
     if not isinstance(value, str):
         raise SpectralDataError("%s: numbers must be exact strings" % where)
@@ -138,17 +134,17 @@ def spectral_to_document(data: SpectralData) -> dict:
         for blk in pole.blocks:
             residue = blk.residue
             if residue.jordan is not None:
-                res_doc = {"jordan": [{"value": _g(v), "blocks": list(b)}
+                res_doc = {"jordan": [{"value": str(v), "blocks": list(b)}
                                       for v, b in residue.jordan]}
             else:
                 mat = residue.explicit
-                res_doc = {"matrix": [[_g(x) for x in mat.row_list(i)]
+                res_doc = {"matrix": [[str(x) for x in mat.row_list(i)]
                                       for i in range(mat.rows)]}
             blocks.append({
                 "size": blk.size,
-                "q": [_g(c) for c in blk.q_coeffs],
+                "q": [str(c) for c in blk.q_coeffs],
                 "residue": res_doc,
-                "xi": [_g(x) for x in blk.xi],
+                "xi": [str(x) for x in blk.xi],
             })
         poles.append({"point": pole.label, "order": pole.order, "blocks": blocks})
     return {"rank": data.rank, "poles": poles}
@@ -157,7 +153,8 @@ def spectral_to_document(data: SpectralData) -> dict:
 def parse_tuple(document, data: SpectralData) -> MatrixTuple:
     """Validate a tuple document against the (normalized) instance data."""
     _require(isinstance(document, dict), "tuple document must be an object")
-    _require(document.get("rank") == data.rank, "tuple rank mismatch")
+    rank = document.get("rank")
+    _require(_is_int(rank) and rank == data.rank, "tuple rank mismatch")
     poles_doc = document.get("poles")
     _require(isinstance(poles_doc, list) and len(poles_doc) == len(data.poles),
              "tuple must list one entry per pole")
@@ -181,7 +178,7 @@ def tuple_to_document(t: MatrixTuple, data: SpectralData) -> dict:
     for pole, part in zip(data.poles, t.parts):
         poles.append({
             "point": pole.label,
-            "matrices": [[[_g(x) for x in m.row_list(i)] for i in range(m.rows)]
+            "matrices": [[[str(x) for x in m.row_list(i)] for i in range(m.rows)]
                          for m in part],
         })
     return {"rank": t.n, "poles": poles}
@@ -196,7 +193,7 @@ def dimvec_to_document(inst: QuiverInstance, vec) -> dict:
 
 
 def paramvec_to_document(inst: QuiverInstance, vec) -> dict:
-    return {vertex_name(v): _g(x) for v, x in zip(inst.quiver.vertices, vec)}
+    return {vertex_name(v): str(x) for v, x in zip(inst.quiver.vertices, vec)}
 
 
 def instance_report(inst: QuiverInstance) -> dict:
@@ -208,7 +205,7 @@ def instance_report(inst: QuiverInstance) -> dict:
         "lambda": paramvec_to_document(inst, inst.lam),
         "i_irr": sorted(inst.i_irr),
         "lattice_ok": lattice_member(inst, inst.alpha),
-        "alpha_dot_lambda": _g(alpha_dot_lambda(inst)),
+        "alpha_dot_lambda": str(alpha_dot_lambda(inst)),
     }
 
 

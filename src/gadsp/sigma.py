@@ -11,10 +11,11 @@ Every condition on a part beta besides being a root is an integer linear
 equality: beta . lambda == 0 is two integer dot products (the real and the
 imaginary numerators of lambda over one denominator), and the lattice asks
 for equal level sums.  So the candidate parts are the positive roots among
-the integer points of {0 <= beta <= alpha, C beta = 0}; they are found by
-scanning those points and root-testing each, and the candidates of the last
-(quiver, alpha, lambda, lattice rows) are kept, so that both memberships of a
-Fuchsian instance share one scan.
+the integer points of {0 <= beta <= alpha, C beta = 0}.  When C has a row
+they are found by streaming those points and root-testing each; with no row
+every box point would pass, so the box's roots are closed instead.  The
+candidates of the last (quiver, alpha, lambda, lattice rows) are kept, so
+that both memberships of a Fuchsian instance share one scan.
 """
 
 from __future__ import annotations
@@ -79,14 +80,6 @@ class Verdict:
         return self.solvable
 
 
-# Above this many integer points passing the rows, the candidates are picked
-# from the closed root box instead of by one root test per point.  A root
-# test costs two to five closure steps, but with a row far fewer points
-# usually pass than the box has roots.  Above this count the measured
-# memberships split between the two paths, and the cap bounds the scan's
-# cost (the measurement is in CHANGES.md).
-SCAN_POINT_CAP = 10_000
-
 # The candidates of the last (quiver, alpha, lambda, lattice rows) decided:
 # (key, candidates), or None.  Both memberships of a Fuchsian instance share
 # it, since the lattice adds no row there; only one entry is kept alive.
@@ -100,12 +93,12 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
     lexicographically: the first optimal decomposition found is canonical.
 
     Both conditions are integer rows (`lattice` and `orthogonality_rows`),
-    built only when the memo misses.  The box points that pass the rows are
-    scanned directly and each one is root-tested.  The box's roots are
-    closed and filtered instead when there is no row (every box point would
-    pass, most of them no root) or when more than SCAN_POINT_CAP points
-    pass.  A scan or closure that raises stores nothing.  Callers must not
-    modify the dict.
+    built only when the memo misses.  With at least one row, the box points
+    that pass the rows stream from box_points and each one is root-tested.
+    With none, every box point would pass, most of them no root, so the
+    box's roots are closed instead.  The path depends only on whether a row
+    exists, and the sort makes the candidates independent of it.  A scan or
+    closure that raises stores nothing.  Callers must not modify the dict.
     """
     global _last_candidates
     if box_volume(alpha) > DEFAULT_BOX_VOLUME_CAP:
@@ -115,14 +108,12 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
         return memo[1]
     _last_candidates = None
     rows = lattice + orthogonality_rows(lam)
-    points = box_points(alpha, rows, (), SCAN_POINT_CAP) if rows else None
-    if points is None:
-        in_rows = kernel_test(rows)
-        picked = [beta for beta in positive_roots_in_box(q, alpha)
-                  if beta != alpha and in_rows(beta)]
-    else:
-        picked = [beta for beta in points if any(beta) and beta != alpha
+    if rows:
+        picked = [beta for beta in box_points(alpha, rows, ())
+                  if any(beta) and beta != alpha
                   and is_root(q, beta).kind != "not_root"]
+    else:
+        picked = [beta for beta in positive_roots_in_box(q, alpha) if beta != alpha]
     keyed = sorted((-tits(q, beta)[1], beta) for beta in picked)
     candidates = {beta: -neg_p for neg_p, beta in keyed}
     _last_candidates = (key, candidates)

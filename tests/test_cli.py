@@ -172,9 +172,12 @@ def test_verify_detects_residue_sum_violation(tmp_path, capsys):
     doc["poles"][0]["matrices"][0][0][0] = "77"
     inst_path = write(tmp_path, "inst.json", spectral_to_document(data))
     tup_path = write(tmp_path, "tuple.json", doc)
-    assert main(["verify", inst_path, tup_path]) == 2
-    report = json.loads(capsys.readouterr().out)
-    assert not report["checks"]["residue_sum_zero"]
+    # failed checks exit 1, as failed mc cross-checks do; 2 is rejected input
+    assert main(["verify", inst_path, tup_path]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert not report["checks"]["residue_sum_zero"] and not report["ok"]
+    assert captured.err == ""
 
 
 def test_mc_zero_xi_exits_two(tmp_path, capsys):
@@ -296,6 +299,18 @@ def test_boolean_integers_exit_two(tmp_path, capsys, doc, place):
     assert main(["quiver", write(tmp_path, "ok.json", _rank_one_doc())]) == 0
     capsys.readouterr()
     _rejects(capsys, ["check", write(tmp_path, "inst.json", doc)], place)
+
+
+@pytest.mark.parametrize("rank", [True, 1.0])
+def test_tuple_rank_must_be_an_integer(tmp_path, capsys, rank):
+    # true == 1 and 1.0 == 1 in Python, so an equality test alone takes both
+    inst = write(tmp_path, "inst.json", _rank_one_doc())
+    tup = {"rank": 1, "poles": [{"point": "infinity", "matrices": [[["0"]]]}]}
+    assert main(["verify", inst, write(tmp_path, "ok.json", tup)]) == 0
+    capsys.readouterr()
+    path = write(tmp_path, "tuple.json", dict(tup, rank=rank))
+    for argv in (["verify", inst, path], ["mc", inst, path, "--index", "1"]):
+        _rejects(capsys, argv, "tuple rank mismatch")
 
 
 @pytest.mark.parametrize("rows", [["10", "01"], [1, 0], [["1", "0"]],

@@ -710,13 +710,13 @@ def test_box_points_work_on_tiny_boxes():
     kronecker = Quiver(("a", "b"), (("a", "b"),) * 2)
     cases = [
         # b = a: three values of a, then one b each
-        (lambda budget: box_points((2, 2), [(1, -1)], (), 100, budget),
+        (lambda budget: box_points((2, 2), [(1, -1)], (), budget),
          {(0, 0), (1, 1), (2, 2)}, 3 + 3),
         # a <= b: three values of a, then 3 + 2 + 1 values of b
-        (lambda budget: box_points((2, 2), (), [(1, -1)], 100, budget),
+        (lambda budget: box_points((2, 2), (), [(1, -1)], budget),
          {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}, 3 + 6),
         # a free third vertex is not scanned and costs nothing
-        (lambda budget: box_points((2, 2, 1), [(1, -1, 0)], (), 100, budget),
+        (lambda budget: box_points((2, 2, 1), [(1, -1, 0)], (), budget),
          {(a, a, c) for a in range(3) for c in range(2)}, 3 + 3),
         # Kronecker: 2a - 2b <= 0 and 2b - 2a <= 0 keep b = a
         (lambda budget: fundamental_in_box(kronecker, (2, 2), budget),
@@ -728,23 +728,30 @@ def test_box_points_work_on_tiny_boxes():
         assert 100 - budget[0] == work
 
 
-def test_box_points_count_free_vertices_before_listing_them():
+def test_box_points_stream_free_vertices():
     # Bound (1, 4, ..., 4) on ten vertices with one row on vertex 0: the nine
-    # free vertices span 5^9 = 1,953,125 points, past the limit, so the scan
-    # returns None without listing them (which took about 240 MB).
+    # free vertices span 5^9 = 1,953,125 points, and listing them would take
+    # about 240 MB.  The scan streams them, so taking the first 10,001 keeps
+    # no more than the stack and one point.
     bound, rows = (1,) + (4,) * 9, [(1,) + (0,) * 9]
+    budget = [10]
     tracemalloc.start()
     try:
-        assert box_points(bound, rows, (), 10_000) is None
+        first = 0
+        for beta in itertools.islice(box_points(bound, rows, (), budget), 10_001):
+            assert beta[0] == 0 and max(beta) <= 4
+            first += 1
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1_000_000
-    # a free box that fits is listed whole, and one point past the limit is not
+    assert first == 10_001 and peak < 1_000_000
+    # vertex 0 is the one tied vertex, with the one value 0; free vertices
+    # cost no work
+    assert budget == [9]
+    # a free box is streamed whole, each point once
     small = (1, 4, 4)
-    assert sorted(box_points(small, [(1, 0, 0)], (), 25)) == \
+    assert sorted(box_points(small, [(1, 0, 0)], ())) == \
         [(0, b, c) for b in range(5) for c in range(5)]
-    assert box_points(small, [(1, 0, 0)], (), 24) is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -765,11 +772,8 @@ def test_kernel_points_match_brute_force(problem, data):
                                      for row in at_most)
     whole = list(itertools.product(*(range(b + 1) for b in bound)))
     box = [beta for beta in whole if passes(beta)]
-    points = box_points(bound, rows, at_most, 10**9)
+    points = list(box_points(bound, rows, at_most))
     assert sorted(points) == box     # every point once, and no other
-    # the limit is on the points that pass
-    assert box_points(bound, rows, at_most, len(box)) is not None
-    assert box_points(bound, rows, at_most, len(box) - 1) is None
     # the roots among them are the closed box's roots that pass the rows
     roots_found = {beta for beta in points if is_root(q, beta).kind != "not_root"}
     assert roots_found == set(filter(passes, positive_roots_in_box(q, bound)))

@@ -337,9 +337,9 @@ def _count_builds(monkeypatch):
     monkeypatch.setattr(sigma, "_last_candidates", None)
     builds = []
 
-    def scan(bound, rows, at_most, limit, budget=None):
+    def scan(bound, rows, at_most, budget=None):
         builds.append(("scan", tuple(bound), rows))
-        return box_points(bound, rows, at_most, limit, budget)
+        return box_points(bound, rows, at_most, budget)
 
     def closure(q, bound, budget=None):
         builds.append(("closure", q, tuple(bound)))
@@ -380,7 +380,7 @@ def test_capped_scan_raises_its_own_message_and_stores_nothing(monkeypatch):
     expected = sigma_member(q, alpha, lam)
     candidates = sigma._last_candidates[1]
     assert candidates
-    work = _work(lambda b: box_points(alpha, rows, (), sigma.SCAN_POINT_CAP, b))
+    work = _work(lambda b: list(box_points(alpha, rows, (), b)))
     assert work > 0
     monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work - 1)
     monkeypatch.setattr(sigma, "_last_candidates", None)
@@ -476,16 +476,23 @@ def test_other_quivers_or_rows_never_share_candidates(monkeypatch):
 # the scan and the box closure check each other
 
 
+def reference_candidates(q, alpha, lam, lattice):
+    """The candidates by the filtered closure: every positive root of the box
+    but alpha that passes the lattice and orthogonality rows, as (part,
+    p-value) pairs sorted by decreasing p-value, then lexicographically."""
+    in_rows = kernel_test(lattice + orthogonality_rows(lam))
+    keyed = sorted((-tits(q, beta)[1], beta) for beta in positive_roots_in_box(q, alpha)
+                   if beta != alpha and in_rows(beta))
+    return [(beta, -neg_p) for neg_p, beta in keyed]
+
+
 def _candidates_both_ways(q, alpha, lam, lattice):
-    """_decomposition_candidates by the scan, then by the filtered closure."""
-    out = []
+    """_decomposition_candidates from an empty memo, then the filtered
+    closure's reference candidates."""
     with pytest.MonkeyPatch.context() as mp:
-        for cap in (10**9, -1):
-            mp.setattr(sigma, "SCAN_POINT_CAP", cap)
-            mp.setattr(sigma, "_last_candidates", None)
-            out.append(list(sigma._decomposition_candidates(
-                q, alpha, lam, lattice).items()))
-    return out
+        mp.setattr(sigma, "_last_candidates", None)
+        got = list(sigma._decomposition_candidates(q, alpha, lam, lattice).items())
+    return got, reference_candidates(q, alpha, lam, lattice)
 
 
 @st.composite
@@ -547,12 +554,21 @@ def test_scan_and_closure_agree_on_generated_instances():
     assert compared >= 5     # lattice rows that leave candidates occur
 
 
-def test_forced_fallback_keeps_the_verdict(monkeypatch):
-    closures = []
+def _memberships_by_closure(monkeypatch, inst):
+    """Both memberships of `inst` with every candidate set taken from the
+    filtered closure's reference in place of _decomposition_candidates."""
+    with monkeypatch.context() as mp:
+        mp.setattr(sigma, "_decomposition_candidates",
+                   lambda q, alpha, lam, lattice:
+                   dict(reference_candidates(q, alpha, lam, lattice)))
+        return (sigma_tilde_member(inst),
+                sigma_member(inst.quiver, inst.alpha, inst.lam))
 
-    def counting(q, bound, budget=None):
-        closures.append(tuple(bound))
-        return positive_roots_in_box(q, bound, budget)
+
+def test_forced_fallback_keeps_the_verdict(monkeypatch):
+    # Forcing the filtered closure onto memberships that scan gives the same
+    # verdicts and certificates.
+    builds = _count_builds(monkeypatch)
     rng = random.Random(11)
     instances = [nonresonant_hypergeometric(), resonant_hypergeometric()]
     instances += [build_instance(normalize(random_instance_data(
@@ -561,14 +577,27 @@ def test_forced_fallback_keeps_the_verdict(monkeypatch):
         monkeypatch.setattr(sigma, "_last_candidates", None)
         want = (sigma_tilde_member(inst),
                 sigma_member(inst.quiver, inst.alpha, inst.lam))
-        with monkeypatch.context() as mp:
-            mp.setattr(sigma, "SCAN_POINT_CAP", 0)
-            mp.setattr(sigma, "positive_roots_in_box", counting)
-            mp.setattr(sigma, "_last_candidates", None)
-            got = (sigma_tilde_member(inst),
-                   sigma_member(inst.quiver, inst.alpha, inst.lam))
-        assert got == want
-    assert closures   # the closure did run
+        assert _memberships_by_closure(monkeypatch, inst) == want
+    assert any(kind == "scan" for kind, *_ in builds)   # the scan did run
+
+
+def test_wide_scan_sample_scans_and_matches_the_closure(monkeypatch):
+    # samples/fuchsian_wide_scan.json: a Fuchsian draw (rank 5, three poles)
+    # whose box holds 3,456,000 points, 12,000 of them orthogonal to lambda.
+    # However many points pass, a membership with a row scans them.
+    path = pathlib.Path(__file__).resolve().parents[1] / "samples" / "fuchsian_wide_scan.json"
+    inst = build_instance(normalize(parse_spectral(json.loads(path.read_text())))[0])
+    q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+    rows = orthogonality_rows(lam)
+    assert lattice_rows(inst) == () and rows
+    assert box_volume(alpha) == 3_456_000
+    assert sum(1 for _ in box_points(alpha, rows, ())) == 12_000
+    builds = _count_builds(monkeypatch)
+    got = (sigma_tilde_member(inst), sigma_member(q, alpha, lam))
+    assert builds == [("scan", alpha, rows)]
+    assert list(sigma._last_candidates[1].items()) == \
+        reference_candidates(q, alpha, lam, ())
+    assert _memberships_by_closure(monkeypatch, inst) == got
 
 
 def _benchmark_instances():
@@ -593,15 +622,11 @@ def test_benchmark_candidates_match_the_filtered_closure(monkeypatch):
     memberships = 0
     for inst in _benchmark_instances():
         q, alpha, lam = inst.quiver, inst.alpha, inst.lam
-        closure = positive_roots_in_box(q, alpha)
         for lattice in ((), lattice_rows(inst)):
             monkeypatch.setattr(sigma, "_last_candidates", None)
             candidates = sigma._decomposition_candidates(q, alpha, lam, lattice)
-            in_rows = kernel_test(lattice + orthogonality_rows(lam))
-            keyed = sorted((-tits(q, beta)[1], beta) for beta in closure
-                           if beta != alpha and in_rows(beta))
-            assert list(candidates.items()) == [(beta, -neg_p)
-                                                for neg_p, beta in keyed]
+            assert list(candidates.items()) == \
+                reference_candidates(q, alpha, lam, lattice)
             memberships += 1
     assert memberships == 164
     # most memberships scan: 7,704 points are root-tested
