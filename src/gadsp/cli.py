@@ -51,7 +51,8 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON, UTF-8 or int
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, UTF-8 or int; RecursionError: nesting too deep
         raise SpectralDataError("cannot read %s: %s" % (path, exc)) from None
 
 

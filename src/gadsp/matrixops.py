@@ -922,9 +922,14 @@ def factor_pole(pole, part, order, form: HtlForm, gauge):
     """
     n = part[0].rows
     g0 = gauge[0]
-    g0_inv = invert(g0)
-    a_part = [g0 * m * g0_inv for m in part]
-    v = [g * g0_inv for g in gauge]
+    if g0 == ExactMatrix.identity(n):
+        # htl_reduce found the eigenbasis standard, or to_quiver_rep carried
+        # pole 0's gauge to constant term 1: there is nothing to conjugate
+        g0_inv, a_part, v = g0, part, gauge
+    else:
+        g0_inv = invert(g0)
+        a_part = [g0 * m * g0_inv for m in part]
+        v = [g * g0_inv for g in gauge]
     # Q and P have levels 1..order-2, and none of them needs a gauge, u_-
     # or (u_-)^{-1} coefficient past level order - 2.
     top = order - 1

@@ -14,14 +14,22 @@ for equal level sums.  So the candidate parts are the positive roots among
 the integer points of {0 <= beta <= alpha, C beta = 0}.  When C has a row
 they are found by streaming those points and root-testing each; with no row
 every box point would pass, so the box's roots are closed instead.  The
-candidates of the last (quiver, alpha, lambda, lattice rows) are kept, so
-that both memberships of a Fuchsian instance share one scan.
+candidates of the last (quiver, alpha, lambda, lattice rows) are kept with
+the outcome of their decomposition search, so that both memberships of a
+Fuchsian instance share one scan and one search.
+
+The search branches each remainder on the candidates that fit it among those
+whose first nonzero coordinate is the remainder's.  It reads them off a
+bitset index, one mask per (coordinate, value) of such a group, taken lowest
+bit first, so it visits the children, and counts the nodes, in the order a
+test of each candidate in turn would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le, sub
+from itertools import compress
+from operator import itemgetter, lt, sub
 
 from .builder import QuiverInstance, lattice_member, lattice_rows
 from .numeric import GaussRat
@@ -80,9 +88,12 @@ class Verdict:
         return self.solvable
 
 
-# The candidates of the last (quiver, alpha, lambda, lattice rows) decided:
-# (key, candidates), or None.  Both memberships of a Fuchsian instance share
-# it, since the lattice adds no row there; only one entry is kept alive.
+# The candidates of the last (quiver, alpha, lambda, lattice rows) decided
+# and the outcome of their decomposition search: (key, candidates, outcome),
+# or None.  outcome is _best_decomposition's (best, parts, nodes), or None
+# until a search of them has finished.  Both memberships of a Fuchsian
+# instance share the entry, since the lattice adds no row there; only one
+# entry is kept alive.
 _last_candidates = None
 
 
@@ -98,7 +109,8 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
     With none, every box point would pass, most of them no root, so the
     box's roots are closed instead.  The path depends only on whether a row
     exists, and the sort makes the candidates independent of it.  A scan or
-    closure that raises stores nothing.  Callers must not modify the dict.
+    closure that raises stores nothing, and a new entry holds no search
+    outcome (_membership adds it).  Callers must not modify the dict.
     """
     global _last_candidates
     if box_volume(alpha) > DEFAULT_BOX_VOLUME_CAP:
@@ -116,7 +128,7 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
         picked = [beta for beta in positive_roots_in_box(q, alpha) if beta != alpha]
     keyed = sorted((-tits(q, beta)[1], beta) for beta in picked)
     candidates = {beta: -neg_p for neg_p, beta in keyed}
-    _last_candidates = (key, candidates)
+    _last_candidates = (key, candidates, None)
     return candidates
 
 
@@ -130,15 +142,28 @@ def _best_decomposition(alpha, p_of, node_cap):
     Every decomposition of a remainder has a part that is nonzero at the
     remainder's first nonzero coordinate, and a part that fits is zero
     before it, so each remainder branches only on the candidates whose
-    first nonzero coordinate is that one.  Candidates keep their given
-    order inside each group, and the first optimum found is kept.  The
-    search runs on an explicit stack, so its depth is not bounded by the
-    interpreter's recursion limit.
+    first nonzero coordinate is that one: its lead group.  The members that
+    fit are read off a bitset index instead of being tested one by one.
+    Bit b of the mask (lead, k, v) is set when member b of the lead group
+    has c[k] <= v, so the AND of the masks at the remainder's coordinates
+    holds exactly the members that fit.  Only the coordinates where the
+    remainder is below the group's largest entry can exclude a member, the
+    root excludes none, and each mask is built on the first node that needs
+    it, so a small search builds few.  The set bits are taken lowest first
+    (the binary digits of the AND, read from the right), which is the order of
+    the group and of `p_of`: the children, the nodes visited and the first
+    optimum kept are those of testing each member in turn.  The search runs
+    on an explicit stack, so its depth is not bounded by the interpreter's
+    recursion limit.
     """
     alpha = tuple(alpha)
     groups = [[] for _ in alpha]
+    # a vector's first nonzero value occurs first at its lead coordinate
     for c in p_of:
-        groups[next(i for i, x in enumerate(c) if x)].append(c)
+        groups[c.index(next(filter(None, c)))].append(c)
+    coords = range(len(alpha))
+    tops = [None] * len(alpha)   # lead -> the group's largest entry per coordinate
+    masks = {}                   # (lead, k, v) -> fit mask
     zero = (0,) * len(alpha)
     memo = {zero: (0, None)}   # remainder -> (best sum, first part)
     nodes = 0
@@ -151,9 +176,32 @@ def _best_decomposition(alpha, p_of, node_cap):
             nodes += 1
             if nodes > node_cap:
                 raise SearchCapExceeded("decomposition search node cap exceeded")
-            lead = next(i for i, r in enumerate(rem) if r)
-            children = [(c, tuple(map(sub, rem, c)))
-                        for c in groups[lead] if all(map(le, c, rem))]
+            lead = rem.index(next(filter(None, rem)))
+            group = groups[lead]
+            fit = -1   # every member; at the root, alpha, every candidate fits
+            if group and rem is not alpha:
+                top = tops[lead]
+                if top is None:
+                    top = tops[lead] = tuple(map(max, zip(*group)))
+                for k in compress(coords, map(lt, rem, top)):
+                    v = rem[k]
+                    mask = masks.get((lead, k, v))
+                    if mask is None:
+                        # the base-2 digits, member 0 last: "1" where c[k] <= v
+                        column = map(itemgetter(k), reversed(group))
+                        mask = masks[lead, k, v] = int(
+                            bytes(map(b"01".__getitem__, map(v.__ge__, column))), 2)
+                    fit &= mask
+            if fit == -1:
+                children = [(c, tuple(map(sub, rem, c))) for c in group]
+            else:
+                children = []
+                bits = bin(fit)[:1:-1]   # bits[b] is bit b
+                b = bits.find("1")
+                while b >= 0:
+                    c = group[b]
+                    children.append((c, tuple(map(sub, rem, c))))
+                    b = bits.find("1", b + 1)
             stack.append((rem, children))
             for _, child in children:
                 if child not in memo:
@@ -177,7 +225,16 @@ def _best_decomposition(alpha, p_of, node_cap):
 
 def _membership(q: Quiver, alpha, lam, lattice, node_cap):
     """`lattice` is None for plain membership, else the lattice rows
-    (builder.lattice_rows) that alpha and every part must satisfy."""
+    (builder.lattice_rows) that alpha and every part must satisfy.
+
+    The search over the candidates depends on nothing else, so its outcome
+    is kept in their memo entry and reused by a later membership with the
+    same key, unless that one's node_cap is below the nodes the outcome
+    visited: then it searches again, which raises as a first search under
+    that cap would.  A search that raises stores nothing, and the witness
+    reports the node count of the search that found the outcome.
+    """
+    global _last_candidates
     alpha = tuple(alpha)
     lattice_label = "" if lattice is None else " lattice"
     reasons = []
@@ -197,7 +254,14 @@ def _membership(q: Quiver, alpha, lam, lattice, node_cap):
     reasons.append("pass: alpha . lambda = 0")
     candidates = _decomposition_candidates(q, alpha, tuple(lam), lattice or ())
     p_alpha = tits(q, alpha)[1]
-    best, parts, nodes = _best_decomposition(alpha, candidates, node_cap)
+    memo = _last_candidates
+    shared = memo is not None and memo[1] is candidates   # their memo entry
+    if shared and memo[2] is not None and memo[2][2] <= node_cap:
+        best, parts, nodes = memo[2]
+    else:
+        best, parts, nodes = _best_decomposition(alpha, candidates, node_cap)
+        if shared:
+            _last_candidates = (memo[0], candidates, (best, parts, nodes))
     if best is not None and best >= p_alpha:
         reasons.append(
             "FAIL: decomposition into %d orthogonal%s roots has p-sum %d >= p(alpha) = %d"

@@ -354,6 +354,19 @@ def test_unreadable_json_exits_two(tmp_path, capsys, content):
     _rejects(capsys, ["check", str(path)], "cannot read %s: " % path)
 
 
+def test_deeply_nested_json_exits_two(tmp_path, capsys):
+    # the JSON parser recurses once per nesting level, so this document
+    # raises RecursionError; it once exited 4 with a traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    for argv in (["check", str(path)], ["verify", PAIR[0], str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read %s: " % path)
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_unwritable_output_exits_two(tmp_path, capsys):
     inst = str(ROOT / "samples" / "fuchsian_solvable.json")
     out = tmp_path / "missing" / "out.json"

@@ -4,6 +4,7 @@ import pathlib
 import random
 from dataclasses import replace
 from fractions import Fraction
+from operator import le, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -296,6 +297,49 @@ def test_best_decomposition_deep_remainder():
     assert nodes == 1200
 
 
+def reference_search(alpha, p_of, node_cap):
+    """_best_decomposition as it was before the bitset index: each node tests
+    every member of its lead group for fit, in the group's order."""
+    alpha = tuple(alpha)
+    groups = [[] for _ in alpha]
+    for c in p_of:
+        groups[next(i for i, x in enumerate(c) if x)].append(c)
+    zero = (0,) * len(alpha)
+    memo = {zero: (0, None)}
+    nodes = 0
+    stack = [(alpha, None)]
+    while stack:
+        rem, children = stack.pop()
+        if children is None:
+            if rem in memo:
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                raise SearchCapExceeded("decomposition search node cap exceeded")
+            lead = next(i for i, r in enumerate(rem) if r)
+            children = [(c, tuple(map(sub, rem, c)))
+                        for c in groups[lead] if all(map(le, c, rem))]
+            stack.append((rem, children))
+            for _, child in children:
+                if child not in memo:
+                    stack.append((child, None))
+            continue
+        best = first = None
+        for c, child in children:
+            value = memo[child][0]
+            if value is not None and (best is None or p_of[c] + value > best):
+                best, first = p_of[c] + value, c
+        memo[rem] = (best, first)
+    value = memo[alpha][0]
+    parts = []
+    rem = alpha
+    while value is not None and rem != zero:
+        c = memo[rem][1]
+        parts.append(c)
+        rem = tuple(map(sub, rem, c))
+    return value, tuple(parts), nodes
+
+
 @st.composite
 def decomposition_problems(draw):
     n = draw(st.integers(1, 4))
@@ -325,6 +369,23 @@ def test_best_decomposition_matches_reference(problem):
         assert all(c in candidates for c in parts)
         assert tuple(map(sum, zip(*parts))) == alpha
         assert sum(tits(q, c)[1] for c in parts) == best
+
+
+@settings(max_examples=300, deadline=None)
+@given(decomposition_problems())
+def test_indexed_search_matches_reference_search(problem):
+    # The bitset index picks the same children in the same order, so the
+    # outcome and the node count are those of testing each member in turn.
+    q, alpha, candidates = problem
+    p_of = {c: tits(q, c)[1] for c in candidates}
+    for order in (p_of, dict(reversed(p_of.items()))):
+        want = reference_search(alpha, order, 10**7)
+        assert _best_decomposition(alpha, order, 10**7) == want
+        assert _best_decomposition(alpha, order, want[2]) == want
+        for search in (reference_search, _best_decomposition):
+            with pytest.raises(SearchCapExceeded) as info:
+                search(alpha, order, want[2] - 1)
+            assert str(info.value) == "decomposition search node cap exceeded"
 
 
 # ---------------------------------------------------------------------------
@@ -363,14 +424,14 @@ def test_both_memberships_share_one_scan(monkeypatch):
     # the lattice adds no row on a Fuchsian instance
     assert lattice_rows(inst) == ()
     assert builds == [("scan", inst.alpha, orthogonality_rows(inst.lam))]
-    key, candidates = sigma._last_candidates
+    key, candidates, outcome = sigma._last_candidates
     assert key == (inst.quiver, inst.alpha, inst.lam, ())
     # the same verdicts as with no memo kept between the calls
     monkeypatch.setattr(sigma, "_last_candidates", None)
     assert sigma_tilde_member(inst) == a
     monkeypatch.setattr(sigma, "_last_candidates", None)
     assert sigma_member(inst.quiver, inst.alpha, inst.lam) == b
-    assert sigma._last_candidates == (key, candidates)
+    assert sigma._last_candidates == (key, candidates, outcome)
 
 
 def test_capped_scan_raises_its_own_message_and_stores_nothing(monkeypatch):
@@ -391,7 +452,7 @@ def test_capped_scan_raises_its_own_message_and_stores_nothing(monkeypatch):
     # a cap equal to one scan's work suffices, and the candidates are stored
     monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", work)
     assert sigma_member(q, alpha, lam) == expected
-    assert sigma._last_candidates == ((q, alpha, lam, ()), candidates)
+    assert sigma._last_candidates[:2] == ((q, alpha, lam, ()), candidates)
 
 
 def test_capped_closure_raises_as_a_fresh_build(monkeypatch):
@@ -449,8 +510,8 @@ def test_other_quivers_or_rows_never_share_candidates(monkeypatch):
                           [("closure", kronecker, alpha)])
         kept = sigma._last_candidates
         monkeypatch.setattr(sigma, "_last_candidates", None)
-        assert kept == ((kronecker, alpha, lam, ()),
-                        sigma._decomposition_candidates(kronecker, alpha, lam, ()))
+        assert kept[:2] == ((kronecker, alpha, lam, ()),
+                            sigma._decomposition_candidates(kronecker, alpha, lam, ()))
         # lambda is orthogonal to neither simple root unless it is zero
         assert kept[1] == ({} if rows else {(1, 0): 0, (0, 1): 0})
     # an irregular instance: the lattice rows part the two memberships
@@ -470,6 +531,91 @@ def test_other_quivers_or_rows_never_share_candidates(monkeypatch):
         assert len(builds) == (plain.certificate is not None)
         differ += plain.solvable != tilde.solvable
     assert differ
+
+
+def _count_searches(monkeypatch):
+    """Start from an empty memo and record the alpha of each decomposition
+    search made through sigma."""
+    monkeypatch.setattr(sigma, "_last_candidates", None)
+    searches = []
+
+    def search(alpha, p_of, node_cap):
+        searches.append(tuple(alpha))
+        return _best_decomposition(alpha, p_of, node_cap)
+    monkeypatch.setattr(sigma, "_best_decomposition", search)
+    return searches
+
+
+def test_both_memberships_of_a_fuchsian_instance_run_one_search(monkeypatch):
+    searches = _count_searches(monkeypatch)
+    rng = random.Random(21)
+    instances = [nonresonant_hypergeometric(), resonant_hypergeometric()]
+    instances += [build_instance(normalize(random_fuchsian_data(
+        rng, n=rng.randint(2, 3), p=rng.randint(1, 2)))[0]) for _ in range(10)]
+    shared = 0
+    for inst in instances:
+        assert lattice_rows(inst) == ()
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        del searches[:]
+        tilde = sigma_tilde_member(inst)
+        plain = sigma_member(inst.quiver, inst.alpha, inst.lam)
+        # a verdict carries a certificate once it got to the search
+        assert searches == ([inst.alpha] if tilde.certificate is not None else [])
+        if not searches:
+            continue
+        shared += 1
+        key, candidates, outcome = sigma._last_candidates
+        assert outcome == _best_decomposition(inst.alpha, candidates, 10**7)
+        if isinstance(plain.certificate, ExhaustiveWitness):
+            # the shared outcome reports the node count of its search
+            assert plain.certificate == ExhaustiveWitness(len(candidates), outcome[2])
+        # the same verdicts as with no memo kept between the calls
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        assert sigma_member(inst.quiver, inst.alpha, inst.lam) == plain
+    assert shared >= 5
+
+
+def test_lattice_rows_part_the_searches(monkeypatch):
+    searches = _count_searches(monkeypatch)
+    rng = random.Random(11)
+    both = 0
+    for _ in range(10):
+        inst = build_instance(normalize(random_instance_data(
+            rng, n=rng.randint(2, 3), p=2))[0])
+        if not lattice_rows(inst):
+            continue
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        del searches[:]
+        tilde = sigma_tilde_member(inst)
+        plain = sigma_member(inst.quiver, inst.alpha, inst.lam)
+        if tilde.certificate is not None and plain.certificate is not None:
+            assert searches == [inst.alpha, inst.alpha]
+            both += 1
+    assert both >= 3
+
+
+def test_a_lower_node_cap_searches_again_and_raises(monkeypatch):
+    searches = _count_searches(monkeypatch)
+    inst = resonant_hypergeometric()
+    q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+    verdict = sigma_tilde_member(inst)
+    key, candidates, outcome = sigma._last_candidates
+    nodes = outcome[2]
+    assert nodes > 1 and searches == [alpha]
+    # a fresh search under that cap raises this message
+    with pytest.raises(SearchCapExceeded) as fresh:
+        _best_decomposition(alpha, candidates, nodes - 1)
+    with pytest.raises(SearchCapExceeded) as info:
+        sigma_member(q, alpha, lam, node_cap=nodes - 1)
+    assert str(info.value) == str(fresh.value)
+    assert searches == [alpha, alpha]
+    # the raising search stored nothing: the outcome kept is the first one
+    assert sigma._last_candidates == (key, candidates, outcome)
+    # a cap of exactly the stored node count shares it
+    assert sigma_tilde_member(inst, node_cap=nodes) == verdict
+    assert searches == [alpha, alpha]
+    assert sigma_member(q, alpha, lam, node_cap=nodes).certificate == verdict.certificate
+    assert searches == [alpha, alpha]
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +744,26 @@ def test_wide_scan_sample_scans_and_matches_the_closure(monkeypatch):
     assert list(sigma._last_candidates[1].items()) == \
         reference_candidates(q, alpha, lam, ())
     assert _memberships_by_closure(monkeypatch, inst) == got
+
+
+def test_deep_search_sample_keeps_its_verdicts():
+    # samples/mixed_deep_search.json: a mixed draw (three poles, 15 vertices)
+    # whose plain search has 5,228 candidates and visits 5,220 nodes; testing
+    # every member of a lead group at each node took about 25.8 million fit
+    # tests there.  The verdicts and witnesses are those of that search.
+    path = pathlib.Path(__file__).resolve().parents[1] / "samples" / "mixed_deep_search.json"
+    inst = build_instance(normalize(parse_spectral(json.loads(path.read_text())))[0])
+    q, alpha, lam = inst.quiver, inst.alpha, inst.lam
+    assert box_volume(alpha) == 4_644_864 and len(lattice_rows(inst)) == 2
+    tilde = sigma_tilde_member(inst)
+    plain = sigma_member(q, alpha, lam)
+    assert tilde.solvable and plain.solvable
+    assert tilde.certificate == ExhaustiveWitness(961, 956)
+    assert plain.certificate == ExhaustiveWitness(5228, 5220)
+    assert tilde.reasons[-1] == ("pass: every proper orthogonal lattice decomposition"
+                                 " has p-sum < p(alpha) = 53")
+    assert plain.reasons[-1] == ("pass: every proper orthogonal decomposition"
+                                 " has p-sum < p(alpha) = 53")
 
 
 def _benchmark_instances():
