@@ -155,8 +155,25 @@ def _coerce(value):
 
 def _frac_str(f):
     if f.denominator == 1:
-        return str(f.numerator)
-    return "%d/%d" % (f.numerator, f.denominator)
+        return _int_str(f.numerator)
+    return _int_str(f.numerator) + "/" + _int_str(f.denominator)
+
+
+def _int_str(n):
+    """The decimal digits of n, however many there are.
+
+    str() refuses an int with more digits than the interpreter's limit
+    (sys.set_int_max_str_digits; 4300 by default, never below 640 when set),
+    and that limit is the process's to choose.  So an int of 2,000 bits or
+    more, about 600 digits, is printed in two halves split at a power of ten.
+    """
+    if n.bit_length() < 2000:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    k = n.bit_length() * 3 // 20   # about half the digits: log10(2) > 3/10
+    high, low = divmod(n, 10 ** k)
+    return _int_str(high) + _int_str(low).zfill(k)
 
 
 ZERO = GaussRat(0)
@@ -174,7 +191,7 @@ def _scan_rational(text, pos, allow_sign):
         pos += 1
     if pos == d0:
         raise GaussParseError("expected digits", pos)
-    num = int(text[start:pos])
+    num = _digits_int(text, start, pos)
     if pos < len(text) and text[pos] == "/":
         pos += 1
         d1 = pos
@@ -182,11 +199,23 @@ def _scan_rational(text, pos, allow_sign):
             pos += 1
         if pos == d1:
             raise GaussParseError("expected denominator digits", pos)
-        den = int(text[d1:pos])
+        den = _digits_int(text, d1, pos)
         if den == 0:
             raise GaussParseError("zero denominator", d1)
         return Fraction(num, den), pos
     return Fraction(num), pos
+
+
+def _digits_int(text, start, end):
+    """int(text[start:end]), or a parse error at start: int() refuses more
+    digits than the interpreter's limit (sys.set_int_max_str_digits), and
+    characters that str.isdigit accepts but are no decimal digit, such as
+    superscripts."""
+    try:
+        return int(text[start:end])
+    except ValueError:
+        raise GaussParseError("not a decimal integer within this interpreter's"
+                              " digit limit", start) from None
 
 
 def gauss_parse(text: str) -> GaussRat:

@@ -34,6 +34,12 @@ about what its reflection walk costs.
 The decision core uses the closure only when its candidates satisfy no
 integer row.  Otherwise it scans the box points on which its rows vanish
 with box_points, and decides each point by is_root.
+
+One work budget, DEFAULT_WORK_CAP units unless a caller passes its own,
+bounds each enumeration: box_points charges every partial point it keeps
+and every point its free vertices add, so every point it yields is paid
+for, and the closure charges every root it dequeues.  Nothing measures the
+box itself, whose volume does not predict the work.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
+from math import prod
 
 from .builder import QuiverInstance, lattice_member
 from .quiver import (
@@ -57,7 +64,6 @@ class SearchCapExceeded(RuntimeError):
     """An enumeration or search exceeded its configured budget."""
 
 
-DEFAULT_BOX_VOLUME_CAP = 5_000_000
 DEFAULT_WORK_CAP = 10_000_000
 
 
@@ -232,8 +238,12 @@ def box_points(bound, equal, at_most, budget=None):
     [0, sum of the weights], which is at least -(the least row . beta over
     the box).  The points stream: nothing is listed, so memory stays at the
     depth-first stack however many points pass.  Each partial point kept
-    costs one unit of work, charged to `budget` as the scan reaches it; the
-    free vertices cost nothing.
+    costs one unit of work, charged to `budget` as the scan reaches it.
+    When there are free vertices, each full point of the others also costs
+    the number of points the free vertices span under it, the product of
+    their ranges, charged before the first of them is yielded.  So the
+    budget bounds every point the scan yields, and a free tail larger than
+    what is left of it raises before it yields a point.
     """
     if budget is None:
         budget = [DEFAULT_WORK_CAP]
@@ -260,6 +270,7 @@ def box_points(bound, equal, at_most, budget=None):
     # sums.  Depth first, the partial points popped last at lower depths are
     # its ancestors, so `point` holds its earlier values.
     ranges = [range(bound[v] + 1) for v in free]
+    span = prod(map(len, ranges)) if free else 0
     point = [0] * nv
     stack = [(0, 0, [0] * len(rows))]
     while stack:
@@ -267,6 +278,9 @@ def box_points(bound, equal, at_most, budget=None):
         if t:
             point[tied[t - 1]] = x
         if t == len(tied):
+            budget[0] -= span
+            if budget[0] < 0:
+                raise SearchCapExceeded("candidate scan budget exhausted")
             for tail in product(*ranges):
                 for v, y in zip(free, tail):
                     point[v] = y
@@ -295,13 +309,6 @@ def box_points(bound, equal, at_most, budget=None):
             for r, c, _, _ in column:
                 moved[r] += c * x
             stack.append((t + 1, x, moved))
-
-
-def box_volume(bound) -> int:
-    vol = 1
-    for b in bound:
-        vol *= b + 1
-    return vol
 
 
 def quasi_fundamental_test(inst: QuiverInstance, beta) -> bool:

@@ -13,7 +13,9 @@ imaginary numerators of lambda over one denominator), and the lattice asks
 for equal level sums.  So the candidate parts are the positive roots among
 the integer points of {0 <= beta <= alpha, C beta = 0}.  When C has a row
 they are found by streaming those points and root-testing each; with no row
-every box point would pass, so the box's roots are closed instead.  The
+every box point would pass, so the box's roots are closed instead.  Either
+way the work, not the box's volume, is bounded: by roots.DEFAULT_WORK_CAP
+units for the enumeration, and by the caller's node_cap for the search.  The
 candidates of the last (quiver, alpha, lambda, lattice rows) are kept with
 the outcome of their decomposition search, so that both memberships of a
 Fuchsian instance share one scan and one search.
@@ -48,8 +50,6 @@ from .quiver import (
 from .roots import (
     SearchCapExceeded,
     box_points,
-    box_volume,
-    DEFAULT_BOX_VOLUME_CAP,
     is_root,
     positive_roots_in_box,
     quasi_fundamental_test,
@@ -113,8 +113,6 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
     outcome (_membership adds it).  Callers must not modify the dict.
     """
     global _last_candidates
-    if box_volume(alpha) > DEFAULT_BOX_VOLUME_CAP:
-        raise SearchCapExceeded("decomposition box volume above configured limit")
     key, memo = (q, alpha, lam, lattice), _last_candidates
     if memo is not None and memo[0] == key:
         return memo[1]

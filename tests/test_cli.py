@@ -1,5 +1,6 @@
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -275,10 +276,56 @@ def _rejects(capsys, argv, place):
 @pytest.mark.parametrize("value, message", [
     (0, "numbers must be exact strings"),
     ("1+i", "expected digits"),
+    # more digits than int() of a string converts, at the literal's start
+    pytest.param("1/" + "3" * 5000, "not a decimal integer within this"
+                 " interpreter's digit limit (at position 2)", id="long-literal"),
 ])
 def test_bad_number_exits_two_naming_its_place(tmp_path, capsys, value, message):
     path = write(tmp_path, "inst.json", _jordan_value_doc(value))
     _rejects(capsys, ["check", path], "pole 1 block 0 jordan value: " + message)
+
+
+def _parse_long_fraction(text):
+    """Fraction(text) for a "-n/d" of any length: int() of a string is
+    capped by the interpreter's digit limit, so convert 1,000 digits at a
+    time."""
+    def digits(part):
+        value = 0
+        for k in range(0, len(part), 1000):
+            chunk = part[k:k + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return value
+    sign = -1 if text.startswith("-") else 1
+    num, _, den = text.lstrip("-").partition("/")
+    return Fraction(sign * digits(num), digits(den or "1"))
+
+
+def test_values_longer_than_the_interpreter_digit_limit_print(tmp_path, capsys):
+    # Three residues of about 3,000 digits each: lambda at the pole-0 vertex,
+    # minus their sum, has more digits than str() of an int converts by
+    # default, and each literal fits under that limit.
+    dens = [10 ** 2999 + c for c in (7, 9, 13)]
+    doc = {"rank": 1, "poles": [
+        {"point": point, "order": 1, "blocks": [{"size": 1, "q": [], "residue": {
+            "jordan": [{"value": "1/%d" % den, "blocks": [1]}]}}]}
+        for point, den in zip(("infinity", "a1", "a2"), dens)]}
+    path = write(tmp_path, "long.json", doc)
+    lam = -sum(Fraction(1, den) for den in dens)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["reasons"][-1] == "FAIL: alpha . lambda != 0"
+    assert [_parse_long_fraction(v) for v in report["lambda"].values()] == [lam]
+    assert main(["check", path, "--format", "text"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("verdict: unsolvable\n")
+    assert main(["quiver", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert [_parse_long_fraction(v) for v in report["lambda"].values()] == [lam]
+    assert _parse_long_fraction(report["alpha_dot_lambda"]) == lam
 
 
 def _rank_one_doc(rank=1, order=1, size=1, blocks=1):

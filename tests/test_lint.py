@@ -1,5 +1,6 @@
 """Source checks on src/gadsp: known memory pitfalls stay out, the module
-state stays the one README lists, and rejected input keeps one class.
+state stays the one README lists, the limits stay the two that count work,
+and rejected input keeps one class.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -65,6 +66,38 @@ def test_the_check_sees_nested_global_statements():
     tree = ast.parse("def f():\n    global a, b\n"
                      "class C:\n    def g(self):\n        global c\n")
     assert sorted(_global_names(tree)) == ["a", "b", "c"]
+
+
+# The limits a run has: one work budget for the enumeration and one node cap
+# for the search, both counting work.  A new limit is a new name here; the
+# exit code a cap gives (cli.EXIT_CAP) is no limit.
+LIMITS = {("roots", "DEFAULT_WORK_CAP"), ("sigma", "DEFAULT_NODE_CAP")}
+
+
+def _module_level_names(tree):
+    """The names that statements at the top of a module bind by assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_only_the_listed_limits_exist():
+    found = {(path.stem, name) for path in SOURCES
+             for name in _module_level_names(ast.parse(path.read_text(), str(path)))
+             if name.endswith("_CAP") and not name.startswith("EXIT_")}
+    assert found == LIMITS
+
+
+def test_the_check_sees_module_level_assignments():
+    tree = ast.parse("A_CAP = 1\nB_CAP: int = 2\nC_CAP, (D_CAP, e) = f\n"
+                     "def g():\n    H_CAP = 3\nfrom m import I_CAP\n")
+    assert list(_module_level_names(tree)) == ["A_CAP", "B_CAP", "C_CAP", "D_CAP", "e"]
 
 
 # Rejected input is one class: the input modules raise nothing else, and the

@@ -63,6 +63,43 @@ def test_parse_errors_carry_position():
         gauss_parse("2x")
 
 
+def test_over_limit_literal_is_a_parse_error_at_its_start():
+    # int() of a string refuses more digits than the interpreter's limit;
+    # the parser reports that at the literal, and leaves the limit alone.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text, position in (("1/" + "7" * 641, 2), (" -" + "7" * 641, 1),
+                               ("2+" + "7" * 641 + "i", 2)):
+            with pytest.raises(GaussParseError) as err:
+                gauss_parse(text)
+            assert err.value.position == position
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_values_print_past_the_interpreter_limit():
+    rng = random.Random(3)
+    ints = [10 ** 600 - 1, 10 ** 600, -(10 ** 9000) - 7, 7 * 10 ** 3000]
+    ints += [rng.getrandbits(bits) * rng.choice((1, -1))
+             for bits in (1999, 2000, 2001, 9000, 30000, 60000) for _ in range(5)]
+    fractions = [Fraction(a, b) for a, b in zip(ints, ints[1:] + ints[:1]) if b]
+    values = [GaussRat(f, f / 3) for f in fractions]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        printed = [str(GaussRat(f)) for f in fractions]
+        printed_complex = [str(v) for v in values]
+        sys.set_int_max_str_digits(0)   # plain str() and int() convert any length
+        assert printed == ["%d/%d" % (f.numerator, f.denominator)
+                           if f.denominator != 1 else str(f.numerator)
+                           for f in fractions]
+        assert [gauss_parse(text) for text in printed_complex] == values
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_print_parse_roundtrip():
     rng = random.Random(0)
     values = [GaussRat(Fraction(rng.randint(-9, 9), rng.randint(1, 9)),

@@ -1,4 +1,7 @@
 import itertools
+import json
+import math
+import pathlib
 import random
 import tracemalloc
 from collections import deque
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gadsp.builder import build_instance
+from gadsp.cli import main
 from gadsp.gensamples import (
     random_instance_data,
     random_lattice_vector,
@@ -17,6 +21,7 @@ from gadsp.quiver import (
     Quiver,
     composite_eps,
     kernel_test,
+    orthogonality_rows,
     pair_with_unit,
     reflect_dim,
     sym_form,
@@ -38,10 +43,13 @@ from gadsp.roots import (
     replay_witness,
     xi_image,
 )
-from gadsp import sigma
+from gadsp import roots, sigma
 from gadsp.serialize import parse_spectral
 from gadsp.sigma import sigma_member
 from gadsp.spectral import normalize
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parents[1] / "samples"
 
 
 def d4_star():
@@ -112,33 +120,22 @@ def test_fundamental_in_box_d4():
                    for i in range(5))
 
 
-def _solved_instance():
-    doc = {
-        "rank": 2,
-        "poles": [
-            {"point": "infinity", "order": 1, "blocks": [
-                {"size": 2, "q": [], "residue": {"jordan": [
-                    {"value": "-1/3", "blocks": [1]},
-                    {"value": "-1/5", "blocks": [1]}]}}]},
-            {"point": "a1", "order": 1, "blocks": [
-                {"size": 2, "q": [], "residue": {"jordan": [
-                    {"value": "0", "blocks": [1]},
-                    {"value": "1/4", "blocks": [1]}]}}]},
-            {"point": "a2", "order": 1, "blocks": [
-                {"size": 2, "q": [], "residue": {"jordan": [
-                    {"value": "0", "blocks": [1]},
-                    {"value": "17/60", "blocks": [1]}]}}]},
-        ],
-    }
-    data, _ = normalize(parse_spectral(doc))
-    return build_instance(data)
+def _sample_instance(name):
+    doc = json.loads((SAMPLES / name).read_text())
+    return build_instance(normalize(parse_spectral(doc))[0])
 
 
-def test_enum_box_cap(monkeypatch):
-    inst = _solved_instance()
-    monkeypatch.setattr(sigma, "DEFAULT_BOX_VOLUME_CAP", 10)
-    with pytest.raises(SearchCapExceeded, match="box volume above configured limit"):
-        sigma_member(inst.quiver, inst.alpha, inst.lam)
+def test_enum_box_cap():
+    # No limit reads the box's volume: samples/fuchsian_large_box.json holds
+    # 7,776,000 points, above the 5,000,000 that once refused every larger
+    # box, and its rows leave 44,280 points to scan, for 48,730 units of work.
+    inst = _sample_instance("fuchsian_large_box.json")
+    assert math.prod(a + 1 for a in inst.alpha) == 7_776_000
+    budget = [48_730]
+    assert sum(1 for _ in box_points(inst.alpha, orthogonality_rows(inst.lam), (),
+                                     budget)) == 44_280
+    assert budget == [0]
+    assert sigma_member(inst.quiver, inst.alpha, inst.lam).solvable
 
 
 def _d4_like_instance():
@@ -715,9 +712,10 @@ def test_box_points_work_on_tiny_boxes():
         # a <= b: three values of a, then 3 + 2 + 1 values of b
         (lambda budget: box_points((2, 2), (), [(1, -1)], budget),
          {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}, 3 + 6),
-        # a free third vertex is not scanned and costs nothing
+        # a free third vertex is not scanned, but each of the three full
+        # points is charged the two points it spans before they are yielded
         (lambda budget: box_points((2, 2, 1), [(1, -1, 0)], (), budget),
-         {(a, a, c) for a in range(3) for c in range(2)}, 3 + 3),
+         {(a, a, c) for a in range(3) for c in range(2)}, 3 + 3 + 3 * 2),
         # Kronecker: 2a - 2b <= 0 and 2b - 2a <= 0 keep b = a
         (lambda budget: fundamental_in_box(kronecker, (2, 2), budget),
          {(1, 1), (2, 2)}, 3 + 3),
@@ -734,7 +732,7 @@ def test_box_points_stream_free_vertices():
     # about 240 MB.  The scan streams them, so taking the first 10,001 keeps
     # no more than the stack and one point.
     bound, rows = (1,) + (4,) * 9, [(1,) + (0,) * 9]
-    budget = [10]
+    budget = [1 + 5 ** 9 + 10]
     tracemalloc.start()
     try:
         first = 0
@@ -745,13 +743,33 @@ def test_box_points_stream_free_vertices():
     finally:
         tracemalloc.stop()
     assert first == 10_001 and peak < 1_000_000
-    # vertex 0 is the one tied vertex, with the one value 0; free vertices
-    # cost no work
-    assert budget == [9]
+    # vertex 0 is the one tied vertex, with the one value 0, and its one full
+    # point is charged all 5^9 points of the free tail before the first
+    assert budget == [10]
     # a free box is streamed whole, each point once
     small = (1, 4, 4)
     assert sorted(box_points(small, [(1, 0, 0)], ())) == \
         [(0, b, c) for b in range(5) for c in range(5)]
+
+
+def test_free_tail_beyond_the_budget_raises_before_any_point(monkeypatch, capsys):
+    # samples/fuchsian_wide_scan.json: six vertices that no lambda row
+    # touches span 6,000 points under each full point of the others.
+    inst = _sample_instance("fuchsian_wide_scan.json")
+    rows = orthogonality_rows(inst.lam)
+    budget = [10 ** 7]
+    next(box_points(inst.alpha, rows, (), budget))
+    first = 10 ** 7 - budget[0]     # the tied path to the first full point and its tail
+    assert first > 6000
+    budget = [first - 1]            # enough for the path, not for its tail
+    with pytest.raises(SearchCapExceeded, match="^candidate scan budget exhausted$"):
+        next(box_points(inst.alpha, rows, (), budget))
+    monkeypatch.setattr(roots, "DEFAULT_WORK_CAP", first - 1)
+    monkeypatch.setattr(sigma, "_last_candidates", None)
+    assert main(["check", str(SAMPLES / "fuchsian_wide_scan.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "search cap exceeded: candidate scan budget exhausted\n"
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import pathlib
 import random
 from dataclasses import replace
@@ -7,7 +8,7 @@ from fractions import Fraction
 from operator import le, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gadsp.builder import add_shift, build_instance, lattice_rows, perm_xi
 from gadsp.gensamples import random_fuchsian_data, random_instance_data
@@ -17,11 +18,10 @@ from gadsp import roots, sigma
 from gadsp.roots import (
     SearchCapExceeded,
     box_points,
-    box_volume,
     fundamental_in_box,
     positive_roots_in_box,
 )
-from gadsp.serialize import parse_spectral
+from gadsp.serialize import dumps, parse_spectral, spectral_to_document
 from gadsp.sigma import (
     ExhaustiveWitness,
     ViolatingDecomposition,
@@ -33,6 +33,18 @@ from gadsp.sigma import (
     validate_decomposition,
 )
 from gadsp.spectral import normalize
+
+
+SAMPLES = pathlib.Path(__file__).resolve().parents[1] / "samples"
+
+
+def box_volume(bound):
+    return math.prod(b + 1 for b in bound)
+
+
+def _sample_instance(name):
+    doc = json.loads((SAMPLES / name).read_text())
+    return build_instance(normalize(parse_spectral(doc))[0])
 
 
 def d4_star():
@@ -764,6 +776,76 @@ def test_deep_search_sample_keeps_its_verdicts():
                                  " has p-sum < p(alpha) = 53")
     assert plain.reasons[-1] == ("pass: every proper orthogonal decomposition"
                                  " has p-sum < p(alpha) = 53")
+
+
+def test_samples_past_the_old_box_gate_keep_their_verdicts(monkeypatch):
+    # Two draws whose boxes are above the 5,000,000 points that once refused
+    # them: samples/fuchsian_large_box.json (no lattice row) and
+    # samples/mixed_large_box.json (one lattice row).  The verdicts and
+    # witnesses are those of their first decisions.
+    fuchsian = _sample_instance("fuchsian_large_box.json")
+    mixed = _sample_instance("mixed_large_box.json")
+    assert box_volume(fuchsian.alpha) == 7_776_000 and lattice_rows(fuchsian) == ()
+    assert box_volume(mixed.alpha) == 29_859_840 and len(lattice_rows(mixed)) == 1
+    for inst, witnesses in ((fuchsian, (ExhaustiveWitness(1540, 1535),) * 2),
+                            (mixed, (ExhaustiveWitness(539, 532),
+                                     ExhaustiveWitness(7389, 7380)))):
+        monkeypatch.setattr(sigma, "_last_candidates", None)
+        tilde = sigma_tilde_member(inst)
+        plain = sigma_member(inst.quiver, inst.alpha, inst.lam)
+        assert tilde.solvable and plain.solvable
+        assert (tilde.certificate, plain.certificate) == witnesses
+    # the scanned candidates of the Fuchsian draw are the filtered closure's
+    q, alpha, lam = fuchsian.quiver, fuchsian.alpha, fuchsian.lam
+    scanned, closed = _candidates_both_ways(q, alpha, lam, ())
+    assert scanned == closed and len(scanned) == 1540
+
+
+@st.composite
+def generated_instances(draw):
+    """(normalized data, instance) of one gensamples draw, Fuchsian or mixed,
+    whose box holds at most 20,000 points."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        data = random_fuchsian_data(rng, n=rng.randint(1, 5), p=rng.randint(1, 3))
+    else:
+        data = random_instance_data(rng, n=rng.randint(1, 4), p=rng.randint(1, 3))
+    data = normalize(data)[0]
+    inst = build_instance(data)
+    assume(box_volume(inst.alpha) <= 20_000)
+    return data, inst
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_instances())
+def test_violating_certificates_validate(drawn):
+    # With lambda = 0 every root is orthogonal to it, so a draw's alpha
+    # decomposes far more often than under its own lambda.
+    _, inst = drawn
+    for lam in (inst.lam, (GaussRat(0),) * len(inst.alpha)):
+        case = replace(inst, lam=lam)
+        verdict = sigma_tilde_member(case)
+        if isinstance(verdict.certificate, ViolatingDecomposition):
+            assert validate_decomposition(case, verdict.certificate)
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_instances())
+def test_solvable_verdicts_reduce_and_replay(drawn):
+    _, inst = drawn
+    verdict = sigma_tilde_member(inst)
+    trace = reduce_pair(inst, verdict)
+    assert trace.applicable == verdict.solvable
+    if trace.applicable:
+        assert replay_trace(inst, trace) == (tuple(inst.alpha), tuple(inst.lam))
+
+
+@settings(max_examples=100, deadline=None)
+@given(generated_instances())
+def test_normalized_data_round_trips_through_its_document(drawn):
+    data, _ = drawn
+    document = json.loads(dumps(spectral_to_document(data)))
+    assert parse_spectral(document) == data
 
 
 def _benchmark_instances():
