@@ -53,33 +53,37 @@ def poly_identity(n, order):
     return [ExactMatrix.identity(n)] + [ExactMatrix.zeros(n)] * (order - 1)
 
 
+def _sum_of_products(pairs, n):
+    """The n x n sum of x * y over the (x, y) pairs; a pair with a zero
+    factor adds nothing, so it is skipped."""
+    acc = None
+    for x, y in pairs:
+        if not (x.is_zero() or y.is_zero()):
+            acc = x * y if acc is None else acc + x * y
+    return ExactMatrix.zeros(n) if acc is None else acc
+
+
 def poly_mul(a, b, order):
-    """Product of matrix polynomials in x, truncated below x^order."""
+    """Product of matrix polynomials in x, truncated below x^order: the x^s
+    coefficient is sum_{i+j=s} a_i b_j."""
     n = a[0].rows
-    out = [ExactMatrix.zeros(n) for _ in range(order)]
-    for i, ai in enumerate(a):
-        if i >= order or ai.is_zero():
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= order:
-                break
-            if not bj.is_zero():
-                out[i + j] = out[i + j] + ai * bj
-    return out
+    return [_sum_of_products(((a[i], b[s - i]) for i in range(min(s + 1, len(a)))
+                              if s - i < len(b)), n)
+            for s in range(order)]
 
 
 def poly_inverse(u, order):
-    """Inverse of a unipotent gauge u (u[0] = 1) modulo x^order."""
+    """Inverse w of a unipotent gauge u (u[0] = 1) modulo x^order.
+
+    From u w = 1 with w_0 = 1: w_s = -(u_s + sum_{0<t<s} u_t w_{s-t}).
+    """
     n = u[0].rows
     if u[0] != ExactMatrix.identity(n):
         raise AssertionError("poly_inverse needs a unipotent gauge (bug)")
-    out = [u[0]] + [ExactMatrix.zeros(n) for _ in range(order - 1)]
+    out = [u[0]]
     for s in range(1, order):
-        acc = ExactMatrix.zeros(n)
-        for t in range(1, s + 1):
-            if t < len(u) and not u[t].is_zero():
-                acc = acc + u[t] * out[s - t]
-        out[s] = -acc
+        acc = _sum_of_products(((u[t], out[s - t]) for t in range(1, min(s, len(u)))), n)
+        out.append(-(acc + u[s]) if s < len(u) else -acc)
     return out
 
 
@@ -90,15 +94,13 @@ def unipotent_conjugate(u, part, order):
     B_j = A_j + sum_{a>=1} (u_a A_{j+a} - B_{j+a} u_a): no inverse of u is
     needed.
     """
+    n = part[0].rows
     out = list(part)
     for j in range(order - 1, 0, -1):
-        for a in range(1, min(order - j, len(u) - 1) + 1):
-            if u[a].is_zero():
-                continue
-            if not part[j + a - 1].is_zero():
-                out[j - 1] = out[j - 1] + u[a] * part[j + a - 1]
-            if not out[j + a - 1].is_zero():
-                out[j - 1] = out[j - 1] - out[j + a - 1] * u[a]
+        lags = range(1, min(order - j, len(u) - 1) + 1)
+        out[j - 1] = (part[j - 1]
+                      + _sum_of_products(((u[a], part[j + a - 1]) for a in lags), n)
+                      - _sum_of_products(((out[j + a - 1], u[a]) for a in lags), n))
     return out
 
 
@@ -115,17 +117,12 @@ def gauge_conjugate(g, part, order):
 
 
 def poly_times_part(g, part, order):
-    """One-sided product g . A, truncated to the x^-1..x^-order window."""
+    """One-sided product g . A, truncated to the x^-1..x^-order window: the
+    x^-j coefficient is sum_{a>=0} g_a A_{j+a}."""
     n = g[0].rows
-    out = [ExactMatrix.zeros(n) for _ in range(order)]
-    for b in range(1, order + 1):
-        ab = part[b - 1]
-        if ab.is_zero():
-            continue
-        for a in range(0, b):
-            if a < len(g) and not g[a].is_zero():
-                out[b - a - 1] = out[b - a - 1] + g[a] * ab
-    return out
+    return [_sum_of_products(((g[a], part[j + a - 1])
+                              for a in range(min(order - j + 1, len(g)))), n)
+            for j in range(1, order + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +662,6 @@ def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
         n_hat = vstack([hstack([one if s == r + 1 else zero for s in range(k)])
                         for r in range(k)])
         q_hat = hstack([part[k - 1 - s] for s in range(k)])
-        p_hat = vstack([zero] * (k - 1) + [one])
         k_mat = mat_kernel(a_hat)
         comp = complete_basis(k_mat)
         dim_w = comp.cols
@@ -674,7 +670,8 @@ def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
         proj = inv.block(nk - dim_w, nk, 0, nk)
         t_blocks.append(proj * n_hat * comp)
         q_blocks.append(q_hat * comp)
-        p_blocks.append(proj * p_hat)
+        # proj times the inclusion of V as the last of the k copies
+        p_blocks.append(proj.block(0, dim_w, nk - n, nk))
         dims.append(dim_w)
     return CanonicalDatum(n, tuple(dims), tuple(t_blocks), tuple(q_blocks),
                           tuple(p_blocks))
@@ -937,12 +934,10 @@ def factor_pole(pole, part, order, form: HtlForm, gauge):
 
     u_minus = poly_identity(n, top)
     p_plus = poly_identity(n, top)
+    # g_low = u_- p_+ at x^s: u_s + p_s = g_low_s - sum_{0<j<s} u_j p_{s-j}
     for s in range(1, top):
-        acc = ExactMatrix.zeros(n)
-        for j in range(1, s):
-            if not u_minus[j].is_zero() and not p_plus[s - j].is_zero():
-                acc = acc + u_minus[j] * p_plus[s - j]
-        residual = g_low[s] - acc
+        residual = g_low[s] - _sum_of_products(
+            ((u_minus[j], p_plus[s - j]) for j in range(1, s)), n)
         u_minus[s] = _graded_part(residual, form, s + 1, 1)
         p_plus[s] = residual - u_minus[s]
 
@@ -988,11 +983,11 @@ def _leg_maps(s_mat, xi, bases):
     """(psi, psi*) along one leg built from S and its annihilating sequence."""
     psi = []
     psi_star = []
-    prev = ExactMatrix.identity(s_mat.rows)
+    prev = None  # the identity: the first step needs no solve and no product
     for k, basis in enumerate(bases):
         shift = s_mat.add_scalar(-xi[k])
-        psi.append(solve_general(prev, basis))
-        psi_star.append(solve_general(basis, shift * prev))
+        psi.append(basis if prev is None else solve_general(prev, basis))
+        psi_star.append(solve_general(basis, shift if prev is None else shift * prev))
         prev = basis
     return psi, psi_star
 

@@ -182,12 +182,16 @@ I_UNIT = GaussRat(0, 1)
 
 
 def _scan_rational(text, pos, allow_sign):
-    """Scan `['-'] digits ['/' digits]` starting at pos; return (Fraction, new pos)."""
+    """Scan `['-'] digits ['/' digits]` starting at pos; return (Fraction, new pos).
+
+    Digits are ASCII 0-9 only: int() would also read other Unicode decimal
+    digits, such as Arabic-Indic or fullwidth ones.
+    """
     start = pos
     if pos < len(text) and text[pos] == "-" and allow_sign:
         pos += 1
     d0 = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == d0:
         raise GaussParseError("expected digits", pos)
@@ -195,7 +199,7 @@ def _scan_rational(text, pos, allow_sign):
     if pos < len(text) and text[pos] == "/":
         pos += 1
         d1 = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == d1:
             raise GaussParseError("expected denominator digits", pos)
@@ -207,10 +211,9 @@ def _scan_rational(text, pos, allow_sign):
 
 
 def _digits_int(text, start, end):
-    """int(text[start:end]), or a parse error at start: int() refuses more
-    digits than the interpreter's limit (sys.set_int_max_str_digits), and
-    characters that str.isdigit accepts but are no decimal digit, such as
-    superscripts."""
+    """int(text[start:end]) of ASCII digits, or a parse error at start: int()
+    refuses more digits than the interpreter's limit
+    (sys.set_int_max_str_digits)."""
     try:
         return int(text[start:end])
     except ValueError:

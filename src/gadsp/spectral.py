@@ -11,6 +11,7 @@ used by the matrix-level factorization is order-compatible.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 from .numeric import (
@@ -128,13 +129,18 @@ def shifted_products(m, xi):
 def rank_sequence(res: ResidueSpec, xi) -> tuple:
     """Ranks r_k = rank prod_{l<=k}(R - xi_l), k = 1..len(xi); validates r_e = 0."""
     if res.jordan is not None:
+        # r_k is the sum of max(b - h, 0) over the blocks b of each eigenvalue v,
+        # h the hits of v in xi[:k]; so the h-th hit of v lowers r by the number
+        # of blocks of v of size >= h.  Per v: [hits so far, sorted sizes].
+        state = {value: [0, sorted(blocks)] for value, blocks in res.jordan}
+        total = res.size
         ranks = []
-        for k in range(1, len(xi) + 1):
-            head = xi[:k]
-            total = 0
-            for value, blocks in res.jordan:
-                hits = sum(1 for x in head if x == value)
-                total += sum(max(b - hits, 0) for b in blocks)
+        for x in xi:
+            entry = state.get(x)
+            if entry is not None:
+                entry[0] += 1
+                hits, sizes = entry
+                total -= len(sizes) - bisect_left(sizes, hits)
             ranks.append(total)
     else:
         ranks = [mat_rank(prod) for prod in shifted_products(res.explicit, xi)]
@@ -218,21 +224,27 @@ class SpectralData:
 
     def d(self, i: int, j: int, jp: int) -> int:
         """d_value of blocks j and jp (1-based) of pole i."""
-        return d_value(self.block(i, j), self.block(i, jp), self.poles[i].order)
+        return d_value(self.block(i, j), self.block(i, jp))
 
 
-def d_value(block_a: IrregularBlock, block_b: IrregularBlock, order: int) -> int:
+def _q_width(blocks) -> int:
+    """The pole order that pads the q's of these blocks to the longest one.
+
+    Above it every q is zero, so padding to any larger order, the pole's own
+    included, adds the same zero prefix to every key and changes no
+    comparison; the pole order need not size the work."""
+    return max(len(b.q_coeffs) for b in blocks) + 1
+
+
+def d_value(block_a: IrregularBlock, block_b: IrregularBlock) -> int:
     """deg(q_a - q_b) - 2 for distinct blocks of one pole; -1 when q's coincide."""
-    qa = block_a.q_padded(order)
-    qb = block_b.q_padded(order)
-    for deg in range(order, 1, -1):
+    width = _q_width((block_a, block_b))
+    qa = block_a.q_padded(width)
+    qb = block_b.q_padded(width)
+    for deg in range(width, 1, -1):
         if qa[deg - 2] != qb[deg - 2]:
             return deg - 2
     return -1
-
-
-def _canonical_block_order(blocks, order):
-    return tuple(sorted(blocks, key=lambda b: b.q_sort_key(order)))
 
 
 def make_spectral_data(rank, poles) -> SpectralData:
@@ -261,11 +273,13 @@ def make_spectral_data(rank, poles) -> SpectralData:
                     "pole %r: order-1 pole cannot carry a polynomial part" % pole.label)
             if blk.residue.size != blk.size:
                 raise SpectralDataError("pole %r: residue size mismatch" % pole.label)
-        keys = [blk.q_sort_key(pole.order) for blk in pole.blocks]
-        if len(set(keys)) != len(keys):
+        width = _q_width(pole.blocks)
+        by_key = {blk.q_sort_key(width): blk for blk in pole.blocks}
+        if len(by_key) != len(pole.blocks):
             raise SpectralDataError("pole %r: blocks not distinct" % pole.label)
         resolved = []
-        for blk in _canonical_block_order(pole.blocks, pole.order):
+        for key in sorted(by_key):
+            blk = by_key[key]
             try:
                 xi, ranks = (blk.xi, rank_sequence(blk.residue, blk.xi)) if blk.xi \
                     else select_xi(blk.residue)

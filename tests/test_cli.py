@@ -279,6 +279,8 @@ def _rejects(capsys, argv, place):
     # more digits than int() of a string converts, at the literal's start
     pytest.param("1/" + "3" * 5000, "not a decimal integer within this"
                  " interpreter's digit limit (at position 2)", id="long-literal"),
+    # Arabic-Indic digits, which int() would read as 12
+    pytest.param("\u0661\u0662", "expected digits (at position 0)", id="non-ascii-digits"),
 ])
 def test_bad_number_exits_two_naming_its_place(tmp_path, capsys, value, message):
     path = write(tmp_path, "inst.json", _jordan_value_doc(value))

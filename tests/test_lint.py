@@ -1,6 +1,7 @@
-"""Source checks on src/gadsp: known memory pitfalls stay out, the module
-state stays the one README lists, the limits stay the two that count work,
-and rejected input keeps one class.
+"""Source checks on src/gadsp: known memory pitfalls stay out, number
+literals take ASCII digits only, the module state stays the one README
+lists, the limits stay the two that count work, and rejected input keeps
+one class.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -44,6 +45,30 @@ def test_the_check_sees_starred_calls():
     tree = ast.parse("import math\nfrom math import gcd as g\n"
                      "math.lcm(*xs)\ng(*xs)\nmath.gcd(a, b)\nmath.lcm(a, *xs)\n")
     assert list(_starred_gcd_lcm_calls(tree)) == [3, 4, 6]
+
+
+# Number literals take the ASCII digits 0-9 alone: str.isdigit, isdecimal and
+# isnumeric accept other Unicode digits too, which int() then reads.
+DIGIT_TESTS = {"isdigit", "isdecimal", "isnumeric"}
+
+
+def _unicode_digit_tests(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in DIGIT_TESTS:
+            yield node.lineno
+
+
+def test_no_unicode_digit_tests():
+    found = ["%s:%d" % (path.name, line) for path in SOURCES
+             for line in _unicode_digit_tests(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_check_sees_digit_tests():
+    tree = ast.parse("s.isdigit()\ntext[0].isdecimal()\nstr.isnumeric(c)\n"
+                     "'0' <= c <= '9'\nisdigit(c)\n")
+    assert list(_unicode_digit_tests(tree)) == [1, 2, 3]
 
 
 # The module state README lists: the one-entry memos of sigma and matrixops.

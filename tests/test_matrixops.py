@@ -128,6 +128,22 @@ def _part_times_gauge(part, g, order):
     return out
 
 
+def _poly_mul_by_definition(a, b, order):
+    """The coefficients sum_{i+j=s} a_i b_j, s < order, every product formed."""
+    out = [ExactMatrix.zeros(a[0].rows) for _ in range(order)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < order:
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def _with_zeros(rng, g):
+    """g with some coefficients past the constant term set to zero."""
+    return [m if k == 0 or rng.random() < 0.6 else ExactMatrix.zeros(m.rows)
+            for k, m in enumerate(g)]
+
+
 def _random_matrix(rng, n):
     return ExactMatrix.from_rows([[pick(rng) for _ in range(n)] for _ in range(n)])
 
@@ -136,10 +152,8 @@ def test_gauge_conjugation_matches_its_definition():
     rng = random.Random(20)
     for _ in range(80):
         n, order = rng.randint(1, 4), rng.randint(1, 4)
-        g = random_gauge(rng, n, rng.randint(1, order))
         # zero middle coefficients, of the gauge and of the pole part
-        g = [m if k == 0 or rng.random() < 0.6 else ExactMatrix.zeros(n)
-             for k, m in enumerate(g)]
+        g = _with_zeros(rng, random_gauge(rng, n, rng.randint(1, order)))
         part = [_random_matrix(rng, n) if rng.random() < 0.8 else ExactMatrix.zeros(n)
                 for _ in range(order)]
         conj = gauge_conjugate(g, part, order)
@@ -149,6 +163,8 @@ def test_gauge_conjugation_matches_its_definition():
         u = [m * h0 for m in g]
         assert unipotent_conjugate(u, part, order) \
             == _conjugate_by_definition(u, part, order)
+        h = _with_zeros(rng, random_gauge(rng, n, rng.randint(1, order)))
+        assert poly_mul(g, h, order) == _poly_mul_by_definition(g, h, order)
 
 
 def test_htl_reduce_fixes_normal_forms():

@@ -61,6 +61,16 @@ def test_parse_errors_carry_position():
         gauss_parse("1/0")
     with pytest.raises(GaussParseError):
         gauss_parse("2x")
+    # digits are ASCII 0-9; int() would read these Unicode digits as numbers
+    for text, message, position in (
+            ("\u0661\u0662", "expected digits", 0),              # Arabic-Indic 12
+            ("\uff11/\uff12", "expected digits", 0),             # fullwidth 1/2
+            ("1/\uff12", "expected denominator digits", 2),
+            ("1+\u0662i", "expected digits", 2),
+            ("\u00b2", "expected digits", 0)):                   # superscript 2
+        with pytest.raises(GaussParseError, match=message) as err:
+            gauss_parse(text)
+        assert err.value.position == position
 
 
 def test_over_limit_literal_is_a_parse_error_at_its_start():
