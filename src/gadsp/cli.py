@@ -144,6 +144,12 @@ def cmd_mc(args):
     return EXIT_SOLVABLE if ok else EXIT_UNSOLVABLE
 
 
+def _moment_mismatches(inst, mu):
+    """The vertices at which the moment map mu is not lambda times 1."""
+    return [v for v, value, m in zip(inst.quiver.vertices, inst.lam, mu)
+            if m != ExactMatrix.scalar(m.rows, value)]
+
+
 def cmd_verify(args):
     data, inst = _load_instance(args.instance)
     t = parse_tuple(_load_json(args.tuple), data)
@@ -160,11 +166,7 @@ def cmd_verify(args):
     if checks["residue_sum_zero"] and orbit_ok:
         rep, facts = to_quiver_rep(t, data, inst)
         mu = moment_map(inst, rep)
-        lam_ok = True
-        for v, value, m in zip(inst.quiver.vertices, inst.lam, mu):
-            if m != ExactMatrix.scalar(m.rows, value):
-                lam_ok = False
-        checks["moment_map_equals_lambda"] = lam_ok
+        checks["moment_map_equals_lambda"] = not _moment_mismatches(inst, mu)
         checks["crossing_determinants_nonzero"] = \
             crossing_determinants_nonzero(inst, rep)
         checks["residue_identity"] = all(
@@ -195,11 +197,9 @@ def cmd_selftest(args):
     for trial in range(args.trials):
         data, t = gs.random_orbit_tuple(rng, n=rng.randint(1, 2), p=1)
         inst = build_instance(data)
-        rep, facts = to_quiver_rep(t, data, inst)
-        mu = moment_map(inst, rep)
-        for v, value, m in zip(inst.quiver.vertices, inst.lam, mu):
-            if m != ExactMatrix.scalar(m.rows, value):
-                failures.append("moment map trial %d at %s" % (trial, vertex_name(v)))
+        rep, _ = to_quiver_rep(t, data, inst)
+        failures.extend("moment map trial %d at %s" % (trial, vertex_name(v))
+                        for v in _moment_mismatches(inst, moment_map(inst, rep)))
     report = {"trials": 2 * args.trials, "failures": failures,
               "ok": not failures}
     _emit(dumps(report), args.output)

@@ -199,10 +199,10 @@ def htl_reduce(part, order):
     bases = []
     sizes = []
     values = []
+    # Each value is an exact eigenvalue, so its eigenspace has a column; a
+    # defective one shows as a shortfall in the sizes' sum.
     for value, _ in eigs:
         basis = eigenspace_basis(top, value)
-        if basis.cols == 0:
-            raise NonSplitError("leading coefficient has a defective eigenvalue")
         bases.append(basis)
         sizes.append(basis.cols)
         values.append(value)
@@ -1048,20 +1048,23 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
             bases = _image_chain(s_mat, blk.xi)
             leg_data[(i, j)] = (bases, _leg_maps(s_mat, blk.xi, bases))
 
+    # every crossing into outer pole i reads a block of one product
+    x1g = {i: parts[i][0] * facts[i].g_const for i in sorted(inst.i_irr - {0})}
+    copies = {}  # intra-pole arrow -> how many of its parallel copies came before
     for a, (src, tgt) in enumerate(q.arrows):
         if len(src) == 2 and len(tgt) == 2 and src[0] == 0 and tgt[0] != 0:
             i, jp = tgt
             j = src[1]
-            x1g = parts[i][0] * facts[i].g_const
             rt0, rt1 = ranges[i][jp - 1]
             cs0, cs1 = ranges[0][j - 1]
             u0 = reductions[i][1][0]  # pole i's gauge at x^0: g_const inverted
             psi[a] = u0.block(rt0, rt1, cs0, cs1)
-            psi_star[a] = -(x1g.block(cs0, cs1, rt0, rt1))
+            psi_star[a] = -(x1g[i].block(cs0, cs1, rt0, rt1))
         elif len(src) == 2 and len(tgt) == 2:
             i = src[0]
             j, jp = src[1], tgt[1]
-            kappa = _parallel_index(q.arrows, a)
+            kappa = copies.get((src, tgt), 0)
+            copies[(src, tgt)] = kappa + 1
             fact = facts[i]
             r0, r1 = ranges[i][jp - 1]
             c0, c1 = ranges[i][j - 1]
@@ -1096,16 +1099,6 @@ def _pole_reduction(part, data: SpectralData, i: int):
     if red is None:
         raise OrbitMismatchError("pole %d is not in its prescribed orbit" % i)
     return red
-
-
-def _parallel_index(arrows, a):
-    """Position of arrow a among its parallel copies (0-based)."""
-    src, tgt = arrows[a]
-    count = 0
-    for b in range(a):
-        if arrows[b] == (src, tgt):
-            count += 1
-    return count
 
 
 def _check_form_matches(form: HtlForm, data: SpectralData, i: int):

@@ -181,33 +181,36 @@ ONE = GaussRat(1)
 I_UNIT = GaussRat(0, 1)
 
 
-def _scan_rational(text, pos, allow_sign):
-    """Scan `['-'] digits ['/' digits]` starting at pos; return (Fraction, new pos).
+def _scan_rational(text, pos, end):
+    """The rational `['-'] digits ['/' digits]` that fills text[pos:end].
 
-    Digits are ASCII 0-9 only: int() would also read other Unicode decimal
-    digits, such as Arabic-Indic or fullwidth ones.
+    Positions count from the start of text, in errors too; a scan that stops
+    before end raises "trailing characters" where it stopped.  Digits are
+    ASCII 0-9 only: int() would also read other Unicode decimal digits, such
+    as Arabic-Indic or fullwidth ones.
     """
     start = pos
-    if pos < len(text) and text[pos] == "-" and allow_sign:
+    if pos < end and text[pos] == "-":
         pos += 1
     d0 = pos
-    while pos < len(text) and "0" <= text[pos] <= "9":
+    while pos < end and "0" <= text[pos] <= "9":
         pos += 1
     if pos == d0:
         raise GaussParseError("expected digits", pos)
     num = _digits_int(text, start, pos)
-    if pos < len(text) and text[pos] == "/":
-        pos += 1
-        d1 = pos
-        while pos < len(text) and "0" <= text[pos] <= "9":
+    den = 1
+    if pos < end and text[pos] == "/":
+        d1 = pos = pos + 1
+        while pos < end and "0" <= text[pos] <= "9":
             pos += 1
         if pos == d1:
             raise GaussParseError("expected denominator digits", pos)
         den = _digits_int(text, d1, pos)
         if den == 0:
             raise GaussParseError("zero denominator", d1)
-        return Fraction(num, den), pos
-    return Fraction(num), pos
+    if pos != end:
+        raise GaussParseError("trailing characters", pos)
+    return Fraction(num, den)
 
 
 def _digits_int(text, start, end):
@@ -226,57 +229,28 @@ def gauss_parse(text: str) -> GaussRat:
 
     Grammar: rational ::= ['-'] digits ['/' digits];
     gauss ::= rational | [rational] ('+'|'-') rational 'i' | rational 'i'.
+    Surrounding whitespace is skipped, and an error's position counts from
+    the start of text.  A literal ending in 'i' splits at its last sign after
+    the first character; with no such sign, a leading sign belongs to the
+    imaginary part.  A scan that starts after a sign never meets another one,
+    since none follows it, so every scan may read a leading '-'.
     """
     if not isinstance(text, str):
         raise GaussParseError("expected a string", 0)
-    s = text.strip()
-    offset = text.find(s) if s else 0
-    if not s:
-        raise GaussParseError("empty literal", offset)
-    try:
-        return _parse_body(s)
-    except GaussParseError as exc:
-        raise GaussParseError(str(exc).rsplit(" (at position", 1)[0],
-                              exc.position + offset) from None
-
-
-def _parse_body(s):
-    if s.endswith("i"):
-        body = s[:-1]
-        # Interior sign splits re from im; a sign at 0 with no interior sign
-        # belongs to the imaginary part itself.
-        split = -1
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-":
-                split = k
-                break
-        if split > 0:
-            re_part, _ = _scan_full(body[:split], 0)
-            sign = 1 if body[split] == "+" else -1
-            im_mag, pos = _scan_rational(body, split + 1, allow_sign=False)
-            if pos != len(body):
-                raise GaussParseError("trailing characters", pos)
-            return GaussRat(re_part, sign * im_mag)
-        if body.startswith("+"):
-            im, pos = _scan_rational(body, 1, allow_sign=False)
-            if pos != len(body):
-                raise GaussParseError("trailing characters", pos)
-            return GaussRat(0, im)
-        im, pos = _scan_rational(body, 0, allow_sign=True)
-        if pos != len(body):
-            raise GaussParseError("trailing characters", pos)
-        return GaussRat(0, im)
-    value, pos = _scan_rational(s, 0, allow_sign=True)
-    if pos != len(s):
-        raise GaussParseError("trailing characters", pos)
-    return GaussRat(value)
-
-
-def _scan_full(fragment, pos):
-    value, end = _scan_rational(fragment, pos, allow_sign=True)
-    if end != len(fragment):
-        raise GaussParseError("trailing characters", end)
-    return value, end
+    start = len(text) - len(text.lstrip())
+    end = len(text.rstrip())
+    if start >= end:
+        raise GaussParseError("empty literal", 0)
+    if text[end - 1] != "i":
+        return GaussRat(_scan_rational(text, start, end))
+    end -= 1
+    split = max(text.rfind("+", start + 1, end), text.rfind("-", start + 1, end))
+    if split > start:
+        re_part = _scan_rational(text, start, split)
+        im = _scan_rational(text, split + 1, end)
+        return GaussRat(re_part, im if text[split] == "+" else -im)
+    plus = text.startswith("+", start, end)
+    return GaussRat(0, _scan_rational(text, start + plus, end))
 
 
 class ExactMatrix:

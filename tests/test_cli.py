@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from gadsp import cli
 from gadsp.builder import build_instance
 from gadsp.cli import main
 from gadsp.gensamples import random_orbit_tuple, rng_from_seed
+from gadsp.numeric import GaussRat
 from gadsp.serialize import (
     dumps,
     parse_spectral,
@@ -179,6 +181,22 @@ def test_verify_detects_residue_sum_violation(tmp_path, capsys):
     report = json.loads(captured.out)
     assert not report["checks"]["residue_sum_zero"] and not report["ok"]
     assert captured.err == ""
+
+
+def test_a_wrong_moment_map_fails_verify_and_selftest(monkeypatch, capsys):
+    real = cli.moment_map
+
+    def shifted(inst, rep):
+        return [m.add_scalar(GaussRat(1)) for m in real(inst, rep)]
+
+    monkeypatch.setattr(cli, "moment_map", shifted)
+    assert main(["verify", *PAIR]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["checks"]["moment_map_equals_lambda"] is False and not report["ok"]
+    assert main(["selftest", "--seed", "1", "--trials", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] and not report["ok"]
+    assert all(f.startswith("moment map trial 0 at ") for f in report["failures"])
 
 
 def test_mc_zero_xi_exits_two(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Source checks on src/gadsp: known memory pitfalls stay out, number
 literals take ASCII digits only, the module state stays the one README
-lists, the limits stay the two that count work, and rejected input keeps
-one class.
+lists, the limits stay the two that count work, rejected input keeps one
+class, and no handler takes apart the message of the exception it caught.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -175,3 +175,40 @@ def test_the_checks_see_other_input_errors():
                      "    except OSError:\n        return EXIT_INVALID\n")
     assert list(_invalid_input_handlers(tree)) == ["(SpectralDataError, ValueError)",
                                                    "OSError"]
+
+
+# A message's format is known where it is written, in its exception's
+# constructor: a handler that splits or searches str(exc) of the exception it
+# caught knows that format a second time; the handler reads the exception's
+# attributes instead.
+def _exception_text_reads(tree):
+    found = set()
+    for handler in ast.walk(tree):
+        if not (isinstance(handler, ast.ExceptHandler) and handler.name):
+            continue
+        for node in ast.walk(handler):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                text = node.func.value
+                if isinstance(text, ast.Call) and isinstance(text.func, ast.Name) \
+                        and text.func.id == "str" and len(text.args) == 1 \
+                        and isinstance(text.args[0], ast.Name) \
+                        and text.args[0].id == handler.name:
+                    found.add(node.lineno)
+    return sorted(found)
+
+
+def test_no_handler_reads_an_exception_message_back():
+    found = ["%s:%d" % (path.name, line) for path in SOURCES
+             for line in _exception_text_reads(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_check_sees_exception_text_reads():
+    tree = ast.parse("try:\n    f()\nexcept E as exc:\n"
+                     "    g(str(exc).rsplit(' (at', 1)[0])\n"
+                     "    str(exc).startswith('x')\n    str(other).split()\n"
+                     "    str(exc)\n    '%s' % exc\n"
+                     "    try:\n        h()\n    except F as exc:\n"
+                     "        str(exc).find('y')\n"
+                     "except G:\n    str(exc).split()\n")
+    assert _exception_text_reads(tree) == [4, 5, 12]

@@ -706,6 +706,38 @@ def test_to_quiver_rep_moment_map_is_lambda():
             assert residue_identity_holds(facts[i])
 
 
+def _with_entry_moved(m, r, c):
+    rows = [m.row_list(i) for i in range(m.rows)]
+    rows[r][c] = rows[r][c] + GaussRat(1)
+    return ExactMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize("name", ["pair", "order5"])
+def test_verify_checks_reject_broken_representations(name):
+    samples = pathlib.Path(__file__).resolve().parents[1] / "samples"
+    data = parse_spectral(json.loads((samples / ("%s_instance.json" % name)).read_text()))
+    inst = build_instance(data)
+    t = parse_tuple(json.loads((samples / ("%s_tuple.json" % name)).read_text()), data)
+    rep, facts = to_quiver_rep(t, data, inst)
+    fact = facts[1]
+    assert crossing_determinants_nonzero(inst, rep) and residue_identity_holds(fact)
+    # Pole 1's first P coefficient moved in the off-diagonal block (1, 2)
+    # breaks the identity at block 1.  Its diagonal entries meet no Q block,
+    # so moving one of them keeps the identity.
+    p0 = fact.p_coeffs[0]
+    for (r, c), holds in (((0, 1), False), ((0, 0), True)):
+        moved = replace(fact, p_coeffs=(_with_entry_moved(p0, r, c),) + fact.p_coeffs[1:])
+        assert residue_identity_holds(moved) is holds
+    # With every crossing map into pole 1 zero, its crossing matrix is singular.
+    into_pole_1 = [a for a, (src, tgt) in enumerate(inst.quiver.arrows)
+                   if len(src) == len(tgt) == 2 and src[0] == 0 and tgt[0] == 1]
+    assert into_pole_1
+    psi = list(rep.psi)
+    for a in into_pole_1:
+        psi[a] = ExactMatrix.zeros(psi[a].rows, psi[a].cols)
+    assert not crossing_determinants_nonzero(inst, replace(rep, psi=tuple(psi)))
+
+
 def test_core_moment_values_realize_residue_classes():
     rng = random.Random(11)
     for _ in range(6):

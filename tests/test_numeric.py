@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import random
@@ -73,6 +74,139 @@ def test_parse_errors_carry_position():
         assert err.value.position == position
 
 
+# The parser before it became one bounded scan, kept as the reference with
+# only its names changed: it parses a stripped copy of the literal, then
+# rebuilds each error with its position shifted back by the strip offset.
+def _reference_scan_rational(text, pos, allow_sign):
+    """Scan `['-'] digits ['/' digits]` starting at pos; return (Fraction, new pos).
+
+    Digits are ASCII 0-9 only: int() would also read other Unicode decimal
+    digits, such as Arabic-Indic or fullwidth ones.
+    """
+    start = pos
+    if pos < len(text) and text[pos] == "-" and allow_sign:
+        pos += 1
+    d0 = pos
+    while pos < len(text) and "0" <= text[pos] <= "9":
+        pos += 1
+    if pos == d0:
+        raise GaussParseError("expected digits", pos)
+    num = _reference_digits_int(text, start, pos)
+    if pos < len(text) and text[pos] == "/":
+        pos += 1
+        d1 = pos
+        while pos < len(text) and "0" <= text[pos] <= "9":
+            pos += 1
+        if pos == d1:
+            raise GaussParseError("expected denominator digits", pos)
+        den = _reference_digits_int(text, d1, pos)
+        if den == 0:
+            raise GaussParseError("zero denominator", d1)
+        return Fraction(num, den), pos
+    return Fraction(num), pos
+
+
+def _reference_digits_int(text, start, end):
+    """int(text[start:end]) of ASCII digits, or a parse error at start: int()
+    refuses more digits than the interpreter's limit
+    (sys.set_int_max_str_digits)."""
+    try:
+        return int(text[start:end])
+    except ValueError:
+        raise GaussParseError("not a decimal integer within this interpreter's"
+                              " digit limit", start) from None
+
+
+def reference_gauss_parse(text):
+    """Parse a Gaussian-rational literal.
+
+    Grammar: rational ::= ['-'] digits ['/' digits];
+    gauss ::= rational | [rational] ('+'|'-') rational 'i' | rational 'i'.
+    """
+    if not isinstance(text, str):
+        raise GaussParseError("expected a string", 0)
+    s = text.strip()
+    offset = text.find(s) if s else 0
+    if not s:
+        raise GaussParseError("empty literal", offset)
+    try:
+        return _reference_parse_body(s)
+    except GaussParseError as exc:
+        raise GaussParseError(str(exc).rsplit(" (at position", 1)[0],
+                              exc.position + offset) from None
+
+
+def _reference_parse_body(s):
+    if s.endswith("i"):
+        body = s[:-1]
+        # Interior sign splits re from im; a sign at 0 with no interior sign
+        # belongs to the imaginary part itself.
+        split = -1
+        for k in range(len(body) - 1, 0, -1):
+            if body[k] in "+-":
+                split = k
+                break
+        if split > 0:
+            re_part, _ = _reference_scan_full(body[:split], 0)
+            sign = 1 if body[split] == "+" else -1
+            im_mag, pos = _reference_scan_rational(body, split + 1, allow_sign=False)
+            if pos != len(body):
+                raise GaussParseError("trailing characters", pos)
+            return GaussRat(re_part, sign * im_mag)
+        if body.startswith("+"):
+            im, pos = _reference_scan_rational(body, 1, allow_sign=False)
+            if pos != len(body):
+                raise GaussParseError("trailing characters", pos)
+            return GaussRat(0, im)
+        im, pos = _reference_scan_rational(body, 0, allow_sign=True)
+        if pos != len(body):
+            raise GaussParseError("trailing characters", pos)
+        return GaussRat(0, im)
+    value, pos = _reference_scan_rational(s, 0, allow_sign=True)
+    if pos != len(s):
+        raise GaussParseError("trailing characters", pos)
+    return GaussRat(value)
+
+
+def _reference_scan_full(fragment, pos):
+    value, end = _reference_scan_rational(fragment, pos, allow_sign=True)
+    if end != len(fragment):
+        raise GaussParseError("trailing characters", end)
+    return value, end
+
+
+def _parse_outcome(parse, text):
+    """The value parse gives, or its error's message and position."""
+    try:
+        return parse(text)
+    except GaussParseError as exc:
+        return str(exc), exc.position
+
+
+# Digits, the literal's own signs, whitespace (the no-break space too),
+# non-ASCII digits (Arabic-Indic, fullwidth, superscript) and letters.
+LITERAL_CHARS = "0123456789+-/i \t\n\u00a0\u0662\uff11\u00b2x.e\u00e9"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.text(alphabet=LITERAL_CHARS, max_size=12))
+def test_parse_matches_the_reference(text):
+    assert _parse_outcome(gauss_parse, text) == _parse_outcome(reference_gauss_parse, text)
+
+
+def test_parse_matches_the_reference_on_every_short_string():
+    alphabet = "01/+-i \u0662x"
+    count = 0
+    for length in range(5):
+        for chars in itertools.product(alphabet, repeat=length):
+            text = "".join(chars)
+            assert _parse_outcome(gauss_parse, text) \
+                == _parse_outcome(reference_gauss_parse, text), text
+            count += 1
+    assert count == sum(len(alphabet) ** k for k in range(5))
+    assert _parse_outcome(gauss_parse, 5) == _parse_outcome(reference_gauss_parse, 5)
+
+
 def test_over_limit_literal_is_a_parse_error_at_its_start():
     # int() of a string refuses more digits than the interpreter's limit;
     # the parser reports that at the literal, and leaves the limit alone.
@@ -84,6 +218,8 @@ def test_over_limit_literal_is_a_parse_error_at_its_start():
             with pytest.raises(GaussParseError) as err:
                 gauss_parse(text)
             assert err.value.position == position
+            assert _parse_outcome(gauss_parse, text) \
+                == _parse_outcome(reference_gauss_parse, text)
         assert sys.get_int_max_str_digits() == 640
     finally:
         sys.set_int_max_str_digits(limit)

@@ -24,6 +24,8 @@ from gadsp.roots import (
 from gadsp.serialize import dumps, parse_spectral, spectral_to_document
 from gadsp.sigma import (
     ExhaustiveWitness,
+    ReductionStep,
+    ReductionTrace,
     ViolatingDecomposition,
     _best_decomposition,
     reduce_pair,
@@ -189,6 +191,34 @@ def test_resonant_fuchsian_unsolvable_with_certificate():
     assert validate_decomposition(inst, cert)
 
 
+def test_validate_decomposition_rejects_each_broken_certificate():
+    # The resonant sample's quiver is the star with centre (0,1) and legs
+    # (0,1,1), (1,1,1), (2,1,1); lambda = (1/4, 1/4, -1/4, -1/2).  Each case
+    # changes the valid certificate in one place.
+    inst = _sample_instance("fuchsian_resonant.json")
+    cert = sigma_tilde_member(inst).certificate
+    assert cert == ViolatingDecomposition(((1, 0, 1, 0), (1, 1, 0, 1)), (0, 0), 0)
+    assert validate_decomposition(inst, cert)
+    for broken in (
+            replace(cert, parts=((0, 1, 1, 0), (1, 1, 0, 1))),    # two legs: no root
+            replace(cert, parts=((-1, 0, -1, 0), (1, 1, 0, 1))),  # a negative root
+            replace(cert, parts=((1, 1, 0, 0), (1, 1, 0, 1))),    # lambda . part = 1/2
+            replace(cert, p_values=(1, 0)),                       # p((1,0,1,0)) = 0
+            replace(cert, parts=((2, 1, 1, 1),), p_values=(0,)),  # one part alone
+            replace(cert, parts=((1, 0, 1, 0), (1, 0, 1, 0))),    # sums to (2,0,2,0)
+            replace(cert, p_alpha=-1)):                           # p(alpha) = 0
+        assert not validate_decomposition(inst, broken), broken
+    # The pair sample's lattice is level(pole 1) = level(pole 0), and
+    # p(alpha) = 2.  Under lambda = 0, (1,0,1,0) + (0,1,0,1) passes every
+    # check on its parts but has p-sum 0; (0,0,1,1) is a real root of
+    # levels 0 and 2, off the lattice.
+    pair = _sample_instance("pair_instance.json")
+    zero = replace(pair, lam=(GaussRat(0),) * len(pair.alpha))
+    below = ViolatingDecomposition(((1, 0, 1, 0), (0, 1, 0, 1)), (0, 0), 2)
+    assert not validate_decomposition(zero, below)
+    assert not validate_decomposition(zero, replace(below, parts=((0, 0, 1, 1), (0, 1, 0, 1))))
+
+
 def test_fuchsian_verdicts_coincide_with_plain_membership():
     rng = random.Random(21)
     for _ in range(30):
@@ -225,6 +255,18 @@ def test_reduce_pair_inapplicable_for_unsolvable():
     trace = reduce_pair(inst, sigma_tilde_member(inst))
     assert not trace.applicable
     assert trace.steps == ()
+
+
+def test_replay_trace_rejects_what_it_cannot_replay():
+    inst = resonant_hypergeometric()
+    with pytest.raises(ValueError, match="trace is not applicable"):
+        replay_trace(inst, reduce_pair(inst, sigma_tilde_member(inst)))
+    pair = (inst.alpha, inst.lam)
+    unknown = ReductionTrace(True, (ReductionStep("reflect_elsewhere", (), GaussRat(1),
+                                                  pair, pair),),
+                             "quasi-fundamental", (), pair)
+    with pytest.raises(ValueError, match="unknown step kind 'reflect_elsewhere'"):
+        replay_trace(inst, unknown)
 
 
 def test_reduce_pair_terminal_unit_when_already_unit():
