@@ -1,7 +1,8 @@
 """Source checks on src/gadsp: known memory pitfalls stay out, number
 literals take ASCII digits only, the module state stays the one README
 lists, the limits stay the two that count work, rejected input keeps one
-class, and no handler takes apart the message of the exception it caught.
+class, no handler takes apart the message of the exception it caught, and
+only the sample generator draws random numbers.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -212,3 +213,37 @@ def test_the_check_sees_exception_text_reads():
                      "        str(exc).find('y')\n"
                      "except G:\n    str(exc).split()\n")
     assert _exception_text_reads(tree) == [4, 5, 12]
+
+
+# Outputs are byte-deterministic: every search, Norton's test mod p among
+# them, walks a fixed sequence.  Only the sample generator draws, from a
+# Random its caller seeds.
+RANDOM_USERS = {"gensamples"}
+
+
+def _random_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name == "random" or name.startswith("random.") for name in names):
+            yield node.lineno
+
+
+def test_only_the_sample_generator_imports_random():
+    found = ["%s:%d" % (path.name, line) for path in SOURCES
+             if path.stem not in RANDOM_USERS
+             for line in _random_imports(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    assert all(any(_random_imports(ast.parse(path.read_text(), str(path))))
+               for path in SOURCES if path.stem in RANDOM_USERS)
+
+
+def test_the_check_sees_random_imports():
+    tree = ast.parse("import random\nimport os, random as r\nfrom random import Random\n"
+                     "import secrets\nfrom .random import x\nimport randomness\n"
+                     "def f():\n    import random.x\n")
+    assert list(_random_imports(tree)) == [1, 2, 3, 8]

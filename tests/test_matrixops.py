@@ -26,7 +26,11 @@ from gadsp.matrixops import (
     _irreducible_exact,
     _invariant_span_holds,
     _irreducible_modp,
+    _modp_charpoly,
     _modp_gens,
+    _modp_roots,
+    _modp_sqrt,
+    _norton_modp,
     _ranges,
     _scalar_value,
     _spin,
@@ -540,6 +544,170 @@ def test_irreducible_exact_path_when_modp_gives_up():
     t = MatrixTuple(2, (1, 2), ((odd,), (e12, e21)))
     assert _modp_gens([odd, e12, e21]) is None
     assert irreducible_test(t) is True
+
+
+P = 1000000009  # the prime of the modular stages
+
+
+def _modp_det(a, n):
+    """det of the flat n x n list a mod P by elimination."""
+    rows, det = [a[i * n:(i + 1) * n] for i in range(n)], 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] % P), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            rows[c], rows[piv], det = rows[piv], rows[c], -det
+        det = det * rows[c][c] % P
+        inv = pow(rows[c][c], -1, P)
+        for i in range(c + 1, n):
+            f = rows[i][c] * inv
+            rows[i] = [(x - f * y) % P for x, y in zip(rows[i], rows[c])]
+    return det % P
+
+
+def test_modp_charpoly_matches_determinants():
+    # det(x0 - a) at a few points x0, by elimination, against the
+    # polynomial; the zero rows and columns force the Hessenberg pivot
+    # search past a zero and through a row swap.
+    rng = random.Random(8)
+    for n in range(1, 8):
+        for _ in range(6):
+            a = [rng.randrange(P) if rng.random() < 0.7 else 0 for _ in range(n * n)]
+            poly = _modp_charpoly(a, n)
+            assert len(poly) == n + 1 and poly[-1] == 1
+            for x0 in (0, 1, rng.randrange(P)):
+                shifted = [(x0 * (i % (n + 1) == 0) - x) % P for i, x in enumerate(a)]
+                assert sum(c * pow(x0, k, P) for k, c in enumerate(poly)) % P \
+                    == _modp_det(shifted, n)
+
+
+def _times_linear(f, r):
+    """f (x - r), coefficients from x^0 up."""
+    return [(y - r * x) % P for x, y in zip(f + [0], [0] + f)]
+
+
+def test_modp_roots_and_square_roots():
+    rng = random.Random(9)
+    assert _modp_sqrt(0) == 0 and _modp_sqrt(11) is None
+    for _ in range(50):
+        a = rng.randrange(1, P)
+        assert _modp_sqrt(a * a % P) in (a, P - a)
+    # x^2 - 11 has no root mod P, so each factor is distinct linear times it
+    for k in range(6):
+        roots = sorted({rng.randrange(P) for _ in range(k)})
+        f = [P - 11, 0, 1]
+        for r in roots:
+            f = _times_linear(f, r)
+        assert sorted(_modp_roots(f)) == roots
+        # a repeated root is found once
+        twice = _times_linear(_times_linear(f, 5), 5)
+        assert sorted(_modp_roots(twice)) == sorted(set(roots) | {5})
+
+
+def _traced(monkeypatch, names):
+    """Record (name, result) of each call of the named matrixops functions."""
+    outcomes = []
+
+    def wrap(name):
+        original = getattr(matrixops, name)
+
+        def call(*args):
+            outcomes.append((name, original(*args)))
+            return outcomes[-1][1]
+        monkeypatch.setattr(matrixops, name, call)
+
+    for name in names:
+        wrap(name)
+    return outcomes
+
+
+STAGES = ("_norton_modp", "_irreducible_modp", "_reducible_by_spin", "_irreducible_exact")
+
+
+def test_norton_without_a_kernel_line_falls_back_to_the_closure(monkeypatch):
+    # c is the companion matrix of x^4 - 11, which has no root mod P, and
+    # the algebra mod P is F_P[c].  An element g(c) has an eigenvalue r in
+    # F_P only where g takes the value r at a root of x^4 - 11 and at its
+    # conjugates, so its kernel is at least a plane: Norton's test cannot
+    # decide.  The closure mod P stops at 4, no exact probe is proper (the
+    # quartic is irreducible over Q(i)), and the exact closure answers.
+    assert _modp_roots([P - 11, 0, 0, 0, 1]) == []
+    c = ExactMatrix.from_rows([[0, 0, 0, 11], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+    gens = (c, c.add_scalar(GaussRat(3, 1)))
+    outcomes = _traced(monkeypatch, STAGES)
+    assert irreducible_test(MatrixTuple(4, (2,), (gens,))) is False
+    assert outcomes == [("_norton_modp", None), ("_irreducible_modp", False),
+                        ("_reducible_by_spin", False), ("_irreducible_exact", False)]
+
+
+def test_reduction_can_drop_a_dimension_that_the_exact_closure_restores(monkeypatch):
+    # a has distinct eigenvalues, so an invariant subspace is spanned by
+    # coordinate vectors, and the entries P of b move e1 off each of them
+    # over Q(i).  Mod P, b maps e1 to itself, so Norton's spin stops at that
+    # line; the probe's exact spin of e1 is full, and the exact closure
+    # answers.
+    a = ExactMatrix.from_rows([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])
+    b = ExactMatrix.from_rows([[1, 1, 1, 1], [P, 1, 1, 1], [P, 1, 1, 1], [P, 1, 1, 1]])
+    outcomes = _traced(monkeypatch, STAGES)
+    assert irreducible_test(MatrixTuple(4, (1, 1), ((a,), (b,)))) is True
+    assert outcomes == [("_norton_modp", False), ("_reducible_by_spin", False),
+                        ("_irreducible_exact", True)]
+
+
+def test_closure_alone_decides_up_to_rank_three(monkeypatch):
+    # e12, e23 and e31 generate all 3 x 3 matrices
+    rows = [[[int((i, j) == pos) for j in range(3)] for i in range(3)]
+            for pos in ((0, 1), (1, 2), (2, 0))]
+    gens = tuple(ExactMatrix.from_rows(r) for r in rows)
+    outcomes = _traced(monkeypatch, STAGES)
+    assert irreducible_test(MatrixTuple(3, (3,), (gens,))) is True
+    assert outcomes == [("_irreducible_modp", True)]
+
+
+def _assert_norton_is_sound(gens, n):
+    red = _modp_gens(gens)
+    assume(red is not None)
+    verdict = _norton_modp(red, n)
+    if verdict is not None:
+        assert _irreducible_modp(red, n) is verdict
+
+
+@settings(max_examples=80, deadline=None)
+@given(conjugated_generator_sets())
+def test_norton_agrees_with_the_closure_mod_p(case):
+    _assert_norton_is_sound(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 3))
+def test_norton_agrees_with_the_closure_on_orbit_tuples(seed, n, poles):
+    _, t = random_orbit_tuple(random.Random(seed), n=n, p=poles)
+    _assert_norton_is_sound([m for m in t.all_coefficients() if not m.is_zero()], t.n)
+
+
+def _order5_sample():
+    def load(name):
+        return json.loads((pathlib.Path(__file__).resolve().parents[1] / "samples"
+                           / name).read_text())
+    data = parse_spectral(load("order5_instance.json"))
+    return data, parse_tuple(load("order5_tuple.json"), data)
+
+
+@pytest.mark.parametrize("edit", [
+    # the same q-coefficients, but a block one larger than the reduced one
+    lambda blk: replace(blk, size=blk.size + 1),
+    # every rank matches, (S - xi - 1) has rank 1, but the sequence stops
+    # before the product that vanishes
+    lambda blk: replace(blk, xi=(blk.xi[0] + 1,), ranks=(1,)),
+], ids=["block-size", "nonzero-final-product"])
+def test_orbit_reduction_rejects_an_edited_block(edit):
+    data, t = _order5_sample()
+    spec = orbit_spec_from_data(data, 0)
+    part = list(t.parts[0])
+    assert orbit_member(part, spec)
+    blocks = (edit(spec.blocks[0]),) + spec.blocks[1:]
+    assert not orbit_member(part, replace(spec, blocks=blocks))
 
 
 def test_addition_identity_and_compensation():

@@ -10,7 +10,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gadsp.builder import build_instance
+from gadsp.builder import build_instance, lattice_member
 from gadsp.cli import main
 from gadsp.gensamples import (
     random_instance_data,
@@ -179,6 +179,15 @@ def test_quasi_fundamental_needs_lattice():
             break
     i = sorted(inst.i_irr - {0})[0]
     assert not quasi_fundamental_test(inst, inst.quiver.unit((i, 1)))
+
+
+def test_quasi_fundamental_rejects_vectors_off_the_lattice():
+    # order5_instance has irregular poles 0 and 1; a unit vector at pole 0
+    # has level sums 1 there and 0 at pole 1
+    inst = _sample_instance("order5_instance.json")
+    beta = inst.quiver.unit((0, 1))
+    assert not lattice_member(inst, beta)
+    assert not quasi_fundamental_test(inst, beta)
 
 
 def test_lift_of_composite_is_single_generator():

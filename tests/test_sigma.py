@@ -24,6 +24,7 @@ from gadsp.roots import (
 from gadsp.serialize import dumps, parse_spectral, spectral_to_document
 from gadsp.sigma import (
     ExhaustiveWitness,
+    ReductionError,
     ReductionStep,
     ReductionTrace,
     ViolatingDecomposition,
@@ -248,6 +249,17 @@ def test_reduce_pair_trace_replays():
     for step in trace.steps:
         if step.kind.startswith("reflect"):
             assert sum(step.after[0]) < sum(step.before[0])
+
+
+def test_reduce_pair_stuck_exit(monkeypatch):
+    # The hypergeometric pair needs reflections before it is terminal; with
+    # none available the reduction stops with ReductionError.
+    inst = nonresonant_hypergeometric()
+    verdict = sigma_tilde_member(inst)
+    assert reduce_pair(inst, verdict).steps
+    monkeypatch.setattr(sigma, "_find_reflection", lambda inst, alpha, lam: None)
+    with pytest.raises(ReductionError, match="stuck"):
+        reduce_pair(inst, verdict)
 
 
 def test_reduce_pair_inapplicable_for_unsolvable():
