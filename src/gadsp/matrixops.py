@@ -305,15 +305,15 @@ def _orbit_reduction(part, spec: OrbitSpec):
     annihilating sequence: the polynomial parts must match block for block
     and each reduced residue must reproduce the prescribed rank sequence.
     The reduction depends on the part and spec.order alone, so it is
-    memoized on them; a reduction that raises anything but NonSplitError
-    stores nothing.
+    memoized on them.  Only this function writes the memo, whole, once
+    htl_reduce returned; a reduction that raises anything but NonSplitError
+    leaves the previous entry.
     """
     global _last_reduction
     key, memo = (tuple(part), spec.order), _last_reduction
     if memo is not None and memo[0] == key:
         reduced = memo[1]
     else:
-        _last_reduction = None
         try:
             form, gauge = htl_reduce(part, spec.order)
             reduced = form, tuple(gauge)

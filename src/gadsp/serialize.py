@@ -120,7 +120,10 @@ def _parse_residue(doc, size, where) -> ResidueSpec:
                      and all(_is_int(b) and b >= 1 for b in sizes),
                      where + ": jordan blocks must be positive integers")
             out.append((value, tuple(sizes)))
-        return ResidueSpec(jordan=tuple(out))
+        try:   # the values must be distinct
+            return ResidueSpec(jordan=tuple(out))
+        except SpectralDataError as exc:
+            raise SpectralDataError("%s: %s" % (where, exc)) from None
     if "matrix" in doc:
         return ResidueSpec(explicit=_parse_matrix(doc["matrix"], size,
                                                   where + " residue matrix"))

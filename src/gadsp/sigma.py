@@ -88,12 +88,11 @@ class Verdict:
         return self.solvable
 
 
-# The candidates of the last (quiver, alpha, lambda, lattice rows) decided
-# and the outcome of their decomposition search: (key, candidates, outcome),
-# or None.  outcome is _best_decomposition's (best, parts, nodes), or None
-# until a search of them has finished.  Both memberships of a Fuchsian
-# instance share the entry, since the lattice adds no row there; only one
-# entry is kept alive.
+# The last (quiver, alpha, lambda, lattice rows) decided, its candidates and
+# the outcome (best, parts, nodes) of their decomposition search: (key,
+# candidates, outcome), or None.  _membership alone writes it, whole, once
+# the scan and the search returned.  Both memberships of a Fuchsian instance
+# share the entry, since the lattice adds no row there.
 _last_candidates = None
 
 
@@ -103,20 +102,13 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
     part to its p-value, ordered by decreasing p-value, then
     lexicographically: the first optimal decomposition found is canonical.
 
-    Both conditions are integer rows (`lattice` and `orthogonality_rows`),
-    built only when the memo misses.  With at least one row, the box points
-    that pass the rows stream from box_points and each one is root-tested.
-    With none, every box point would pass, most of them no root, so the
-    box's roots are closed instead.  The path depends only on whether a row
-    exists, and the sort makes the candidates independent of it.  A scan or
-    closure that raises stores nothing, and a new entry holds no search
-    outcome (_membership adds it).  Callers must not modify the dict.
+    Both conditions are integer rows (`lattice` and `orthogonality_rows`).
+    With at least one row, the box points that pass the rows stream from
+    box_points and each one is root-tested.  With none, every box point
+    would pass, most of them no root, so the box's roots are closed instead.
+    The path depends only on whether a row exists, and the sort makes the
+    candidates independent of it.
     """
-    global _last_candidates
-    key, memo = (q, alpha, lam, lattice), _last_candidates
-    if memo is not None and memo[0] == key:
-        return memo[1]
-    _last_candidates = None
     rows = lattice + orthogonality_rows(lam)
     if rows:
         picked = [beta for beta in box_points(alpha, rows, ())
@@ -125,9 +117,7 @@ def _decomposition_candidates(q: Quiver, alpha, lam, lattice):
     else:
         picked = [beta for beta in positive_roots_in_box(q, alpha) if beta != alpha]
     keyed = sorted((-tits(q, beta)[1], beta) for beta in picked)
-    candidates = {beta: -neg_p for neg_p, beta in keyed}
-    _last_candidates = (key, candidates, None)
-    return candidates
+    return {beta: -neg_p for neg_p, beta in keyed}
 
 
 def _best_decomposition(alpha, p_of, node_cap):
@@ -225,12 +215,13 @@ def _membership(q: Quiver, alpha, lam, lattice, node_cap):
     """`lattice` is None for plain membership, else the lattice rows
     (builder.lattice_rows) that alpha and every part must satisfy.
 
-    The search over the candidates depends on nothing else, so its outcome
-    is kept in their memo entry and reused by a later membership with the
-    same key, unless that one's node_cap is below the nodes the outcome
-    visited: then it searches again, which raises as a first search under
-    that cap would.  A search that raises stores nothing, and the witness
-    reports the node count of the search that found the outcome.
+    The candidates and their search depend on the key (quiver, alpha,
+    lambda, lattice rows) alone, so a later membership with the same key
+    takes both from the memo, unless its node_cap is below the nodes the
+    stored search visited: then it scans and searches again, and raises as a
+    first membership under that cap would.  The entry is stored whole once
+    both returned, so one that raises leaves the previous entry, and the
+    witness reports the node count of the search that found the outcome.
     """
     global _last_candidates
     alpha = tuple(alpha)
@@ -250,16 +241,14 @@ def _membership(q: Quiver, alpha, lam, lattice, node_cap):
         reasons.append("FAIL: alpha . lambda != 0")
         return Verdict(False, tuple(reasons))
     reasons.append("pass: alpha . lambda = 0")
-    candidates = _decomposition_candidates(q, alpha, tuple(lam), lattice or ())
     p_alpha = tits(q, alpha)[1]
-    memo = _last_candidates
-    shared = memo is not None and memo[1] is candidates   # their memo entry
-    if shared and memo[2] is not None and memo[2][2] <= node_cap:
-        best, parts, nodes = memo[2]
+    key, memo = (q, alpha, tuple(lam), lattice or ()), _last_candidates
+    if memo is not None and memo[0] == key and memo[2][2] <= node_cap:
+        candidates, (best, parts, nodes) = memo[1:]
     else:
+        candidates = _decomposition_candidates(*key)
         best, parts, nodes = _best_decomposition(alpha, candidates, node_cap)
-        if shared:
-            _last_candidates = (memo[0], candidates, (best, parts, nodes))
+        _last_candidates = (key, candidates, (best, parts, nodes))
     if best is not None and best >= p_alpha:
         reasons.append(
             "FAIL: decomposition into %d orthogonal%s roots has p-sum %d >= p(alpha) = %d"

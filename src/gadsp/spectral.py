@@ -268,9 +268,6 @@ def make_spectral_data(rank, poles) -> SpectralData:
             if len(blk.q_coeffs) > max(pole.order - 1, 0):
                 raise SpectralDataError(
                     "pole %r: q degree exceeds pole order" % pole.label)
-            if pole.order == 1 and blk.q_coeffs:
-                raise SpectralDataError(
-                    "pole %r: order-1 pole cannot carry a polynomial part" % pole.label)
             if blk.residue.size != blk.size:
                 raise SpectralDataError("pole %r: residue size mismatch" % pole.label)
         width = _q_width(pole.blocks)

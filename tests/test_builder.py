@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from fractions import Fraction
 
@@ -164,7 +166,13 @@ def test_perm_xi_equal_values_identity():
 
 
 def test_add_shift_identities():
-    for rng, inst in _instances(3, 25):
+    # the pair sample's residues at infinity are explicit matrices, and
+    # every shift moves pole 0
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[1] / "samples"
+                      / "pair_instance.json").read_text(encoding="utf-8"))
+    pair = build_instance(normalize(parse_spectral(doc))[0])
+    assert all(blk.residue.explicit is not None for blk in pair.data.poles[0].blocks)
+    for rng, inst in _instances(3, 25) + [(random.Random(3), pair)]:
         gamma = GaussRat(rng.randint(-2, 2), rng.randint(-1, 1))
         i0 = rng.randint(1, inst.num_poles - 1)
         out = add_shift(inst, i0, gamma)

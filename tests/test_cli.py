@@ -1,14 +1,15 @@
+import dataclasses
 import json
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from gadsp import cli
+from gadsp import cli, sigma
 from gadsp.builder import build_instance
 from gadsp.cli import main
 from gadsp.gensamples import random_orbit_tuple, rng_from_seed
-from gadsp.numeric import GaussRat
+from gadsp.numeric import GaussRat, gauss_parse
 from gadsp.serialize import (
     dumps,
     parse_spectral,
@@ -451,3 +452,67 @@ def test_internal_value_error_exits_four(monkeypatch, capsys):
     assert captured.out == ""
     assert "Traceback" in captured.err
     assert "ValueError: could not complete basis" in captured.err
+
+
+@pytest.mark.parametrize("keys, value, place", [
+    (("rank",), 0, "rank must be positive"),
+    (("poles", 0, "point"), "a0", "pole 0 must be the point at infinity"),
+    (("poles", 2, "point"), "a1", "duplicate pole labels"),
+    # an order-1 pole takes no q at all
+    (("poles", 1, "blocks", 0, "q"), ["1"], "pole 'a1': q degree exceeds pole order"),
+    (("poles", 1, "blocks", 0, "residue", "jordan", 0, "blocks"), [2],
+     "pole 'a1': residue size mismatch"),
+    (("poles", 1, "blocks", 0, "residue", "jordan", 1, "value"), "0",
+     "pole 1 block 0: repeated eigenvalue in jordan data"),
+    (("poles", 1, "blocks", 0, "residue"), {"xi": ["0"]},
+     "pole 1 block 0: residue needs jordan or matrix"),
+], ids=["rank-0", "first-pole", "duplicate-label", "order-1-q", "residue-size",
+        "repeated-eigenvalue", "no-residue-encoding"])
+def test_rejected_spectral_data_exits_two(tmp_path, capsys, keys, value, place):
+    doc = fuchsian_doc(resonant=False)
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    _rejects(capsys, ["check", write(tmp_path, "inst.json", doc)], place)
+
+
+def test_mc_rejects_residues_that_do_not_sum_to_zero(tmp_path, capsys):
+    doc = json.loads(pathlib.Path(PAIR[1]).read_text(encoding="utf-8"))
+    residue = doc["poles"][1]["matrices"][0]   # the coefficient of 1/x
+    residue[0][0] = str(gauss_parse(residue[0][0]) + 1)
+    _rejects(capsys, ["mc", PAIR[0], write(tmp_path, "tuple.json", doc), "--index", "1,1"],
+             "residues do not sum to zero")
+
+
+@pytest.mark.parametrize("argv", [
+    ["quiver", str(ROOT / "samples" / "irregular_order2.json"), "--format", "text"],
+    ["check", str(ROOT / "samples" / "fuchsian_resonant.json")],
+    ["mc", *PAIR, "--index", "1,2"],
+    ["verify", *PAIR],
+    ["selftest", "--trials", "1"],
+], ids=["quiver", "check", "mc", "verify", "selftest"])
+def test_output_file_holds_the_printed_bytes(tmp_path, capsys, argv):
+    code = main(argv)
+    printed = capsys.readouterr()
+    assert printed.out
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == printed.err
+    assert out.read_bytes() == printed.out.encode("utf-8")
+
+
+def test_a_sigma_disagreement_fails_selftest(monkeypatch, capsys):
+    real = sigma.sigma_member
+
+    def flipped(*args, **kwargs):
+        verdict = real(*args, **kwargs)
+        return dataclasses.replace(verdict, solvable=not verdict.solvable)
+
+    monkeypatch.setattr(sigma, "sigma_member", flipped)
+    assert main(["selftest", "--trials", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failures"] == ["fuchsian agreement trial 0",
+                                  "fuchsian agreement trial 1"]
+    assert not report["ok"]

@@ -1,8 +1,8 @@
 """Source checks on src/gadsp: known memory pitfalls stay out, number
 literals take ASCII digits only, the module state stays the one README
-lists, the limits stay the two that count work, rejected input keeps one
-class, no handler takes apart the message of the exception it caught, and
-only the sample generator draws random numbers.
+lists with one writer each, the limits stay the two that count work,
+rejected input keeps one class, no handler takes apart the message of the
+exception it caught, and only the sample generator draws random numbers.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -72,8 +72,10 @@ def test_the_check_sees_digit_tests():
     assert list(_unicode_digit_tests(tree)) == [1, 2, 3]
 
 
-# The module state README lists: the one-entry memos of sigma and matrixops.
-MODULE_STATE = {("sigma", "_last_candidates"), ("matrixops", "_last_reduction")}
+# The module state README lists: the one-entry memos of sigma and matrixops,
+# each with the one function that writes it.
+MODULE_STATE = {("sigma", "_last_candidates"): "_membership",
+                ("matrixops", "_last_reduction"): "_orbit_reduction"}
 
 
 def _global_names(tree):
@@ -85,13 +87,51 @@ def _global_names(tree):
 def test_only_the_listed_module_state_is_rebound():
     found = {(path.stem, name) for path in SOURCES
              for name in _global_names(ast.parse(path.read_text(), str(path)))}
-    assert found == MODULE_STATE
+    assert found == MODULE_STATE.keys()
 
 
 def test_the_check_sees_nested_global_statements():
     tree = ast.parse("def f():\n    global a, b\n"
                      "class C:\n    def g(self):\n        global c\n")
     assert sorted(_global_names(tree)) == ["a", "b", "c"]
+
+
+def _memo_writers(tree, name):
+    """(function, assignments of `name`) for each function that declares
+    `name` global and assigns it; a function defined inside counts apart."""
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        own, stack = [], list(func.body)
+        while stack:
+            node = stack.pop()
+            own.append(node)
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef, ast.Lambda)):
+                stack.extend(ast.iter_child_nodes(node))
+        declared = any(isinstance(n, ast.Global) and name in n.names for n in own)
+        stores = sum(isinstance(n, ast.Name) and n.id == name
+                     and isinstance(n.ctx, ast.Store) for n in own)
+        if declared and stores:
+            yield func.name, stores
+
+
+def test_each_memo_has_one_writer():
+    # one function assigns each memo, once: it stores whole entries, with no
+    # clearing before its computation
+    for (module, name), writer in MODULE_STATE.items():
+        path = next(path for path in SOURCES if path.stem == module)
+        assert list(_memo_writers(ast.parse(path.read_text(), str(path)), name)) \
+            == [(writer, 1)]
+
+
+def test_the_check_sees_a_second_writer():
+    tree = ast.parse("def f():\n    global m\n    m = None\n    m = 1\n"
+                     "def g():\n    global m\n    m, n = 2, 3\n"
+                     "def h():\n    m = 4\n"
+                     "def k():\n    global m\n    return m\n"
+                     "def l():\n    global m\n    def inner():\n        m = 5\n")
+    assert list(_memo_writers(tree, "m")) == [("f", 2), ("g", 1)]
 
 
 # The limits a run has: one work budget for the enumeration and one node cap

@@ -641,6 +641,23 @@ def test_norton_without_a_kernel_line_falls_back_to_the_closure(monkeypatch):
                         ("_reducible_by_spin", False), ("_irreducible_exact", False)]
 
 
+def test_norton_skips_roots_whose_kernel_is_not_a_line(monkeypatch):
+    # Each element of the sequence of diag(1, 1, 2, 2) is diagonal with two
+    # doubled eigenvalues, so the kernel at each root is a plane: Norton's
+    # test skips every root and cannot decide.  The closure mod P stops
+    # short of 16, and a probe's spin finds the invariant subspace.
+    rows = [[int(i == j) * (1 + i // 2) for j in range(4)] for i in range(4)]
+    d = ExactMatrix.from_rows(rows)
+    assert _norton_modp(_modp_gens([d]), 4) is None
+    outcomes = _traced(monkeypatch, STAGES + ("_modp_null_vector",))
+    minus = ExactMatrix.from_rows([[-x for x in row] for row in rows])
+    assert irreducible_test(MatrixTuple(4, (1, 1), ((d,), (minus,)))) is False
+    kernels = [out for name, out in outcomes if name == "_modp_null_vector"]
+    assert kernels and kernels == [None] * len(kernels)
+    assert outcomes[len(kernels):] == [
+        ("_norton_modp", None), ("_irreducible_modp", False), ("_reducible_by_spin", True)]
+
+
 def test_reduction_can_drop_a_dimension_that_the_exact_closure_restores(monkeypatch):
     # a has distinct eigenvalues, so an invariant subspace is spanned by
     # coordinate vectors, and the entries P of b move e1 off each of them
@@ -1050,6 +1067,23 @@ def test_non_split_part_is_rejected_twice(monkeypatch):
     assert matrixops._last_reduction == ((tuple(part), 2), None)
     assert not orbit_member(part, spec)
     assert calls == [2]
+
+
+def test_a_raising_reduction_leaves_the_previous_entry(monkeypatch):
+    data, t = _two_irregular_poles()
+    spec = orbit_spec_from_data(data, 0)
+    part = list(t.parts[0])
+    assert orbit_member(part, spec)
+    kept = matrixops._last_reduction
+
+    def broken(part, order):
+        raise RuntimeError("reduction failed")
+
+    monkeypatch.setattr(matrixops, "htl_reduce", broken)
+    with pytest.raises(RuntimeError):
+        orbit_member([part[0], ExactMatrix.from_rows([[0, 2], [1, 0]])], spec)
+    assert matrixops._last_reduction is kept
+    assert orbit_member(part, spec)     # from the entry, with no reduction
 
 
 def test_predicted_and_shifted_checks_reduce_once(monkeypatch):

@@ -220,6 +220,21 @@ def test_validate_decomposition_rejects_each_broken_certificate():
     assert not validate_decomposition(zero, replace(below, parts=((0, 0, 1, 1), (0, 1, 0, 1))))
 
 
+def test_alpha_off_the_lattice_fails_only_the_lattice_membership():
+    # A built instance's alpha is in its lattice, so this alpha is put in by
+    # hand: the simple root at the pair sample's block vertex (1, 1) has
+    # level 1 at pole 1 and 0 at pole 0.
+    pair = _sample_instance("pair_instance.json")
+    assert lattice_rows(pair)
+    unit = pair.quiver.unit((1, 1))
+    tilde = sigma_tilde_member(replace(pair, alpha=unit))
+    assert tilde == sigma.Verdict(False, ("pass: alpha is a positive real root",
+                                          "FAIL: alpha is not in the level-sum lattice"))
+    # the plain membership has no lattice stage; lambda at (1, 1) is not 0
+    assert sigma_member(pair.quiver, unit, pair.lam) == sigma.Verdict(
+        False, ("pass: alpha is a positive real root", "FAIL: alpha . lambda != 0"))
+
+
 def test_fuchsian_verdicts_coincide_with_plain_membership():
     rng = random.Random(21)
     for _ in range(30):
@@ -575,9 +590,9 @@ def test_other_quivers_or_rows_never_share_candidates(monkeypatch):
                           [("scan", alpha, rows)] if rows else
                           [("closure", kronecker, alpha)])
         kept = sigma._last_candidates
-        monkeypatch.setattr(sigma, "_last_candidates", None)
         assert kept[:2] == ((kronecker, alpha, lam, ()),
                             sigma._decomposition_candidates(kronecker, alpha, lam, ()))
+        assert sigma._last_candidates is kept   # a scan alone stores nothing
         # lambda is orthogonal to neither simple root unless it is zero
         assert kept[1] == ({} if rows else {(1, 0): 0, (0, 1): 0})
     # an irregular instance: the lattice rows part the two memberships
@@ -661,6 +676,7 @@ def test_lattice_rows_part_the_searches(monkeypatch):
 
 
 def test_a_lower_node_cap_searches_again_and_raises(monkeypatch):
+    builds = _count_builds(monkeypatch)
     searches = _count_searches(monkeypatch)
     inst = resonant_hypergeometric()
     q, alpha, lam = inst.quiver, inst.alpha, inst.lam
@@ -674,14 +690,15 @@ def test_a_lower_node_cap_searches_again_and_raises(monkeypatch):
     with pytest.raises(SearchCapExceeded) as info:
         sigma_member(q, alpha, lam, node_cap=nodes - 1)
     assert str(info.value) == str(fresh.value)
-    assert searches == [alpha, alpha]
+    # it scans again too: the memo holds the candidates with their outcome
+    assert searches == [alpha, alpha] and len(builds) == 2
     # the raising search stored nothing: the outcome kept is the first one
     assert sigma._last_candidates == (key, candidates, outcome)
     # a cap of exactly the stored node count shares it
     assert sigma_tilde_member(inst, node_cap=nodes) == verdict
     assert searches == [alpha, alpha]
     assert sigma_member(q, alpha, lam, node_cap=nodes).certificate == verdict.certificate
-    assert searches == [alpha, alpha]
+    assert searches == [alpha, alpha] and len(builds) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -699,12 +716,10 @@ def reference_candidates(q, alpha, lam, lattice):
 
 
 def _candidates_both_ways(q, alpha, lam, lattice):
-    """_decomposition_candidates from an empty memo, then the filtered
-    closure's reference candidates."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sigma, "_last_candidates", None)
-        got = list(sigma._decomposition_candidates(q, alpha, lam, lattice).items())
-    return got, reference_candidates(q, alpha, lam, lattice)
+    """_decomposition_candidates, then the filtered closure's reference
+    candidates."""
+    return (list(sigma._decomposition_candidates(q, alpha, lam, lattice).items()),
+            reference_candidates(q, alpha, lam, lattice))
 
 
 @st.composite
@@ -925,7 +940,6 @@ def test_benchmark_candidates_match_the_filtered_closure(monkeypatch):
     for inst in _benchmark_instances():
         q, alpha, lam = inst.quiver, inst.alpha, inst.lam
         for lattice in ((), lattice_rows(inst)):
-            monkeypatch.setattr(sigma, "_last_candidates", None)
             candidates = sigma._decomposition_candidates(q, alpha, lam, lattice)
             assert list(candidates.items()) == \
                 reference_candidates(q, alpha, lam, lattice)

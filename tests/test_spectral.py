@@ -255,3 +255,35 @@ def test_swap_and_shift_preserve_validity():
     assert shifted.block(1, 1).xi[0] == data.block(1, 1).xi[0] - 2
     assert shifted.block(0, 1).xi[0] == data.block(0, 1).xi[0] + 2
     assert shifted.block(0, 1).ranks == data.block(0, 1).ranks
+
+
+def test_direct_construction_rejects_what_the_parser_checks_first():
+    # the parser rejects these before they reach the constructors
+    def pole(order):
+        return PoleData("infinity", order, (IrregularBlock((), 1, ResidueSpec(
+            jordan=((GaussRat(0), (1,)),))),))
+    assert make_spectral_data(1, (pole(1),)).poles[0].order == 1
+    with pytest.raises(SpectralDataError, match="^pole order must be >= 1$"):
+        make_spectral_data(1, (pole(0),))
+    one = ExactMatrix.from_rows([[1]])
+    jordan = ((GaussRat(1), (1,)),)
+    for kwargs in ({}, {"jordan": jordan, "explicit": one}):
+        with pytest.raises(SpectralDataError, match="^residue needs exactly one of"):
+            ResidueSpec(**kwargs)
+    with pytest.raises(SpectralDataError, match="^jordan block sizes must be positive$"):
+        ResidueSpec(jordan=((GaussRat(1), (1, 0)),))
+    with pytest.raises(SpectralDataError, match="^repeated eigenvalue in jordan data$"):
+        ResidueSpec(jordan=jordan * 2)
+    with pytest.raises(SpectralDataError, match="^explicit residue must be square$"):
+        ResidueSpec(explicit=ExactMatrix.from_rows([[1, 0]]))
+
+
+def test_swap_and_shift_reject_positions_out_of_range():
+    data = parse_spectral(fuchsian_doc())
+    assert data.block(0, 1).e == 2 and data.p == 2
+    for s in (0, 2):
+        with pytest.raises(SpectralDataError, match="^swap position out of range$"):
+            swap_xi(data, 0, 1, s)
+    for i0 in (0, 3):
+        with pytest.raises(SpectralDataError, match="^shift pole index out of range$"):
+            shift_pole(data, i0, GaussRat(1))
