@@ -44,7 +44,12 @@ def random_partition(rng, n):
 
 
 def random_jordan(rng, n, pool=POOL):
-    """Random Jordan data of total size n with pool eigenvalues."""
+    """Random Jordan data of total size n with pool eigenvalues.
+
+    Each value in turn takes a random share of what is left; a remainder
+    after the last value (every share small, n above the pool size) becomes
+    one more Jordan block of the last value, which draws no random number.
+    """
     values = list(pool)
     rng.shuffle(values)
     out = []
@@ -55,6 +60,9 @@ def random_jordan(rng, n, pool=POOL):
         take = rng.randint(1, rest)
         out.append((value, tuple(random_partition(rng, take))))
         rest -= take
+    if rest:
+        value, sizes = out[-1]
+        out[-1] = (value, sizes + (rest,))
     return ResidueSpec(jordan=tuple(out))
 
 

@@ -24,14 +24,15 @@ from .numeric import (
     _zmul,
     block_diag,
     column_space_basis,
-    complete_basis,
     eigenspace_basis,
     hstack,
     invert,
-    mat_kernel,
     mat_rank,
     qi_eigenvalues,
+    rref_kernel,
+    rref_matrix,
     solve_general,
+    submatrix,
     vstack,
 )
 from .spectral import SpectralData, SpectralDataError, shifted_products
@@ -865,7 +866,19 @@ class CanonicalDatum:
 
 def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
     """Stack each pole part into shift data on V^{k_i} and quotient by the
-    kernel of the block-Toeplitz matrix of its coefficients."""
+    kernel of the block-Toeplitz matrix A of its coefficients.
+
+    W_i is V^{k_i} / Ker A, and the projection onto it is R, the nonzero
+    rows of A's RREF, with pivot columns P and free columns F.  Ker A has the
+    basis K that is the identity on F and -R_{P,F} on P, and the standard
+    vectors e_p, p in P, are the ones that complete it greedily by index:
+    for f in F, e_f is K's column f plus e_p with p < f, while e_p is not in
+    the span of K and the e_q, q < p, since the F rows force every K
+    coefficient to 0.  Writing v = K a + E_P b, the F rows give a = v_F and
+    the P rows b = v_P + R_{P,F} v_F = R v.  So E_P is the section of W_i,
+    and the shift, evaluation and inclusion are read off at P: columns P of
+    R N, columns P of the evaluation, and R's columns for the last copy of V.
+    """
     n = t.n
     dims = []
     t_blocks = []
@@ -879,14 +892,10 @@ def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
         n_hat = vstack([hstack([one if s == r + 1 else zero for s in range(k)])
                         for r in range(k)])
         q_hat = hstack([part[k - 1 - s] for s in range(k)])
-        k_mat = mat_kernel(a_hat)
-        comp = complete_basis(k_mat)
-        dim_w = comp.cols
-        basis = hstack([k_mat, comp])
-        inv = invert(basis)
-        proj = inv.block(nk - dim_w, nk, 0, nk)
-        t_blocks.append(proj * n_hat * comp)
-        q_blocks.append(q_hat * comp)
+        pivots, proj = rref_matrix(a_hat)
+        dim_w = len(pivots)
+        t_blocks.append(submatrix(proj * n_hat, range(dim_w), pivots))
+        q_blocks.append(submatrix(q_hat, range(n), pivots))
         # proj times the inclusion of V as the last of the k copies
         p_blocks.append(proj.block(0, dim_w, nk - n, nk))
         dims.append(dim_w)
@@ -939,6 +948,23 @@ def _scalar_shift_tuple(t: MatrixTuple, data: SpectralData, mi, sign):
     return MatrixTuple(t.n, t.orders, tuple(parts))
 
 
+def _cokernel_section(p_map, q_map, xi):
+    """(coordinates, C) for W = Im P + Ker Q, given Q P = -xi I.
+
+    C is the kernel basis of Q's RREF, the identity on Q's free columns F,
+    and the coordinates map W -> Ker Q ~ coker P takes w to b in
+    w = P a + C b.  Applying Q gives -xi a = Q w, since Q C = 0, so
+    C b = w + P Q w / xi, and its F rows are b: the coordinates are rows F
+    of I + P Q / xi, one product and no inverse.
+    """
+    pivots, r = rref_matrix(q_map)
+    taken = set(pivots)
+    free = [c for c in range(q_map.cols) if c not in taken]
+    coords = (submatrix(ExactMatrix.identity(q_map.cols), free, range(q_map.cols))
+              + (submatrix(p_map, free, range(p_map.cols)) * q_map).scale(xi.inverse()))
+    return coords, rref_kernel(pivots, r)
+
+
 def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
     """Middle convolution at a multi-index with nonzero leading-xi sum.
 
@@ -972,12 +998,9 @@ def middle_convolution(t: MatrixTuple, data: SpectralData, mi) -> McResult:
     # The section of W -> coker P with image Ker Q: the only choice that
     # makes the output well-defined up to conjugation (N does not preserve
     # Im P, so other complements shear the new principal parts).
-    comp = mat_kernel(q_map)
+    q_prime, comp = _cokernel_section(p_map, q_map, xi_mi)
     if comp.cols != n_new:
         raise AssertionError("canonical datum evaluation is not surjective (bug)")
-    basis = hstack([p_map, comp])
-    inv = invert(basis)
-    q_prime = inv.block(t.n, dim_w, 0, dim_w)
     p_prime = comp.scale(xi_mi)
 
     out_parts = []

@@ -13,7 +13,10 @@ one row at a time and says whether it was new.  Rank, RREF, kernels, inverses
 and linear solves insert the rows of a matrix; basis completion inserts the
 columns and then the standard vectors; the exact Burnside closure in
 `matrixops` inserts the words it generates.  The pivot of a row is its first
-nonzero entry, never a magnitude heuristic.
+nonzero entry, never a magnitude heuristic.  `rref_matrix` gives the pivots
+and the nonzero RREF rows of one elimination; the canonical datum of
+`matrixops` reads its projection straight from them, and kernels are built
+from them, so no basis is completed and inverted there.
 
 Eigenvalues are the roots in Q(i) of the characteristic polynomial, found
 exactly in plain Python by modular root finding and Hensel lifting (von zur
@@ -486,10 +489,6 @@ def _zmul(a, b):
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
 
 
-def _zsub(a, b):
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _zdiv_exact(a, b):
     # Exact division in Z[i]; Bareiss guarantees divisibility.
     n = b[0] * b[0] + b[1] * b[1]
@@ -541,22 +540,38 @@ class _Echelon:
 
     def add(self, vec) -> bool:
         """Put the Z[i] vector vec into the basis; True when it was new."""
-        d = self.d
-        w = [_zmul(d, x) for x in vec]
+        dr, di = self.d
+        if di:
+            w = [(dr * a - di * b, dr * b + di * a) for a, b in vec]
+        elif dr != 1:
+            w = [(dr * a, dr * b) for a, b in vec]
+        else:
+            w = list(vec)
         for piv, row in self.rows.items():
-            f = vec[piv]
-            if f != (0, 0):
-                w = [_zsub(x, _zmul(f, y)) for x, y in zip(w, row)]
-        q = next((idx for idx, z in enumerate(w) if z != (0, 0)), None)
+            fr, fi = vec[piv]
+            if fr or fi:
+                w = [(a - fr * c + fi * e, b - fr * e - fi * c)
+                     for (a, b), (c, e) in zip(w, row)]
+        q = next((idx for idx, (a, b) in enumerate(w) if a or b), None)
         if q is None:
             return False
-        p = w[q]
+        pr, pi = w[q]
+        # The division by d is exact; a Gaussian d divides through its
+        # conjugate and norm, a real one directly.
+        norm = dr * dr + di * di if di else dr
         for piv, row in self.rows.items():
-            f = row[q]
-            self.rows[piv] = [_zdiv_exact(_zsub(_zmul(p, x), _zmul(f, y)), d)
-                              for x, y in zip(row, w)]
+            fr, fi = row[q]
+            new = [(pr * x - pi * y - fr * c + fi * e, pr * y + pi * x - fr * e - fi * c)
+                   for (x, y), (c, e) in zip(row, w)]
+            if di:
+                new = [(a * dr + b * di, b * dr - a * di) for a, b in new]
+            if norm != 1:
+                if any(a % norm or b % norm for a, b in new):
+                    raise ArithmeticError("inexact Gaussian-integer division (internal)")
+                new = [(a // norm, b // norm) for a, b in new]
+            self.rows[piv] = new
         self.rows[q] = w
-        self.d = p
+        self.d = (pr, pi)
         return True
 
 
@@ -597,27 +612,41 @@ def _solution(kernel, n, c0, c1):
 # reduced row echelon form over Q(i) and its consumers
 
 
-def rref(m: ExactMatrix):
-    """Return (rref rows as lists, pivot column list); first-nonzero pivoting."""
+def rref_matrix(m: ExactMatrix):
+    """(pivots, R) from one elimination: the pivot columns of m's reduced row
+    echelon form, ascending, and its nonzero rows R as a rank x cols matrix."""
     kernel = _eliminate(m)
     pivots = sorted(kernel.rows)
-    top = _divided(len(pivots), m.cols, [x for q in pivots for x in kernel.rows[q]], kernel.d)
+    return pivots, _divided(len(pivots), m.cols,
+                            [x for q in pivots for x in kernel.rows[q]], kernel.d)
+
+
+def rref(m: ExactMatrix):
+    """Return (rref rows as lists, pivot column list); first-nonzero pivoting."""
+    pivots, top = rref_matrix(m)
     rows = [top.row_list(i) for i in range(top.rows)]
     return rows + [[ZERO] * m.cols for _ in range(m.rows - len(rows))], pivots
 
 
-def mat_kernel(m: ExactMatrix) -> ExactMatrix:
-    """Deterministic basis of the right kernel, one column per free column f
-    of the RREF: 1 at f and minus the RREF's column f at the pivots."""
-    kernel = _eliminate(m)
-    free = [c for c in range(m.cols) if c not in kernel.rows]
+def rref_kernel(pivots, r: ExactMatrix) -> ExactMatrix:
+    """The kernel basis of an RREF R with the given pivot columns, one column
+    per free column f: 1 at f and minus R's column f at the pivots."""
+    cols = r.cols
+    taken = set(pivots)
+    free = [c for c in range(cols) if c not in taken]
     k = len(free)
-    z = [(0, 0)] * (m.cols * k)
+    z = [(0, 0)] * (cols * k)
     for j, fc in enumerate(free):
-        z[fc * k + j] = kernel.d
-        for pc, row in kernel.rows.items():
-            z[pc * k + j] = (-row[fc][0], -row[fc][1])
-    return _divided(m.cols, k, z, kernel.d)
+        z[fc * k + j] = (r.d, 0)
+        for i, pc in enumerate(pivots):
+            a, b = r.z[i * cols + fc]
+            z[pc * k + j] = (-a, -b)
+    return _reduced(cols, k, r.d, z)
+
+
+def mat_kernel(m: ExactMatrix) -> ExactMatrix:
+    """Deterministic basis of the right kernel: `rref_kernel` of m's RREF."""
+    return rref_kernel(*rref_matrix(m))
 
 
 def solve_general(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -640,11 +669,15 @@ def invert(m: ExactMatrix) -> ExactMatrix:
     return _solution(kernel, n, n, 2 * n)
 
 
+def submatrix(m: ExactMatrix, rows, cols) -> ExactMatrix:
+    """The entries of m in the given rows and columns, in the order given."""
+    z, c = m.z, m.cols
+    return _reduced(len(rows), len(cols), m.d, [z[i * c + j] for i in rows for j in cols])
+
+
 def column_space_basis(m: ExactMatrix) -> ExactMatrix:
     """Pivot columns of m, as a matrix; deterministic spanning subset of the image."""
-    pivots = sorted(_eliminate(m).rows)
-    return _reduced(m.rows, len(pivots), m.d,
-                    [m.z[i * m.cols + c] for i in range(m.rows) for c in pivots])
+    return submatrix(m, range(m.rows), sorted(_eliminate(m).rows))
 
 
 def complete_basis(basis: ExactMatrix) -> ExactMatrix:

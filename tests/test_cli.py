@@ -446,7 +446,7 @@ def test_internal_value_error_exits_four(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("could not complete basis")
 
-    monkeypatch.setattr("gadsp.matrixops.complete_basis", broken)
+    monkeypatch.setattr("gadsp.matrixops.rref_kernel", broken)
     assert main(["mc", *PAIR, "--index", "1,1"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -2,7 +2,8 @@
 literals take ASCII digits only, the module state stays the one README
 lists with one writer each, the limits stay the two that count work,
 rejected input keeps one class, no handler takes apart the message of the
-exception it caught, and only the sample generator draws random numbers.
+exception it caught, only the sample generator draws random numbers, and
+every module-level import is used.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -287,3 +288,39 @@ def test_the_check_sees_random_imports():
                      "import secrets\nfrom .random import x\nimport randomness\n"
                      "def f():\n    import random.x\n")
     assert list(_random_imports(tree)) == [1, 2, 3, 8]
+
+
+# Every module-level import is used in its module.  roots imports quiver.dot
+# only for the benchmark's tracer, which wraps gadsp.roots:dot.
+UNUSED_IMPORT_EXCEPTIONS = {("roots", "dot")}
+
+
+def _unused_imports(tree):
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.partition(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in bound.items() if name not in used)
+
+
+def test_no_unused_imports():
+    found = ["%s:%d %s" % (path.name, line, name) for path in SOURCES
+             for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
+             if (path.stem, name) not in UNUSED_IMPORT_EXCEPTIONS]
+    assert found == []
+    # each exception is still an unused import, or it would not need listing
+    for stem, name in UNUSED_IMPORT_EXCEPTIONS:
+        path = SOURCES[0].parent / (stem + ".py")
+        assert name in {n for _, n in _unused_imports(ast.parse(path.read_text(), str(path)))}
+
+
+def test_the_check_sees_unused_imports():
+    tree = ast.parse("from __future__ import annotations\nimport os, os.path\n"
+                     "import json as j\nfrom .numeric import (\n    invert,\n    rref,\n)\n"
+                     "import collections.abc\n"
+                     "def f():\n    import math\n    return rref(os.sep)\n")
+    assert _unused_imports(tree) == [(3, "j"), (4, "invert"), (8, "collections")]

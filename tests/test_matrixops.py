@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from gadsp import matrixops
+from gadsp import matrixops, numeric
 from gadsp.builder import build_instance
 from gadsp.gensamples import (
     _distinct_q,
@@ -20,9 +20,11 @@ from gadsp.gensamples import (
     random_orbit_tuple,
 )
 from gadsp.matrixops import (
+    CanonicalDatum,
     HtlBlock,
     HtlForm,
     MatrixTuple,
+    _cokernel_section,
     _irreducible_exact,
     _invariant_span_holds,
     _irreducible_modp,
@@ -32,6 +34,7 @@ from gadsp.matrixops import (
     _modp_sqrt,
     _norton_modp,
     _ranges,
+    _scalar_shift_tuple,
     _scalar_value,
     _spin,
     core_class_value,
@@ -68,11 +71,14 @@ from gadsp.numeric import (
     NonSplitError,
     ZERO,
     block_diag,
+    complete_basis,
     eigenspace_basis,
     hstack,
     invert,
+    mat_kernel,
     mat_rank,
     qi_eigenvalues,
+    vstack,
 )
 from gadsp.quiver import reflect_composite
 from gadsp.serialize import parse_spectral, parse_tuple
@@ -703,12 +709,13 @@ def test_norton_agrees_with_the_closure_on_orbit_tuples(seed, n, poles):
     _assert_norton_is_sound([m for m in t.all_coefficients() if not m.is_zero()], t.n)
 
 
-def _order5_sample():
-    def load(name):
+def _sample(name):
+    """(data, tuple) of samples/<name>_instance.json and <name>_tuple.json."""
+    def load(kind):
         return json.loads((pathlib.Path(__file__).resolve().parents[1] / "samples"
-                           / name).read_text())
-    data = parse_spectral(load("order5_instance.json"))
-    return data, parse_tuple(load("order5_tuple.json"), data)
+                           / ("%s_%s.json" % (name, kind))).read_text())
+    data = parse_spectral(load("instance"))
+    return data, parse_tuple(load("tuple"), data)
 
 
 @pytest.mark.parametrize("edit", [
@@ -719,7 +726,7 @@ def _order5_sample():
     lambda blk: replace(blk, xi=(blk.xi[0] + 1,), ranks=(1,)),
 ], ids=["block-size", "nonzero-final-product"])
 def test_orbit_reduction_rejects_an_edited_block(edit):
-    data, t = _order5_sample()
+    data, t = _sample("order5")
     spec = orbit_spec_from_data(data, 0)
     part = list(t.parts[0])
     assert orbit_member(part, spec)
@@ -774,6 +781,97 @@ def test_canonical_datum_dimension_examples():
     inv_pole = MatrixTuple(2, (1, 1), ((ExactMatrix.identity(2),),
                                        (-ExactMatrix.identity(2),)))
     assert canonical_datum(inv_pole).dims_w == (2, 2)
+
+
+def reference_canonical_datum(t):
+    """canonical_datum as first written: a kernel basis K of each pole's
+    block-Toeplitz matrix, its completion E by standard vectors, and the
+    projection onto E as the last rows of the inverse of [K | E]."""
+    n = t.n
+    dims, t_blocks, q_blocks, p_blocks = [], [], [], []
+    for k, part in zip(t.orders, t.parts):
+        nk = n * k
+        zero, one = ExactMatrix.zeros(n), ExactMatrix.identity(n)
+        a_hat = vstack([hstack([part[k - 1 - s + r] if s >= r else zero for s in range(k)])
+                        for r in range(k)])
+        n_hat = vstack([hstack([one if s == r + 1 else zero for s in range(k)])
+                        for r in range(k)])
+        q_hat = hstack([part[k - 1 - s] for s in range(k)])
+        k_mat = mat_kernel(a_hat)
+        comp = complete_basis(k_mat)
+        dim_w = comp.cols
+        proj = invert(hstack([k_mat, comp])).block(nk - dim_w, nk, 0, nk)
+        t_blocks.append(proj * n_hat * comp)
+        q_blocks.append(q_hat * comp)
+        p_blocks.append(proj.block(0, dim_w, nk - n, nk))
+        dims.append(dim_w)
+    return CanonicalDatum(n, tuple(dims), tuple(t_blocks), tuple(q_blocks),
+                          tuple(p_blocks))
+
+
+def reference_section(p_map, q_map):
+    """The section as first written: the last rows of the inverse of
+    [P | kernel basis of Q]."""
+    comp = mat_kernel(q_map)
+    n, dim_w = p_map.cols, p_map.rows
+    return invert(hstack([p_map, comp])).block(n, dim_w, 0, dim_w), comp
+
+
+def _scalar_shifts(data, t):
+    """(the tuple shifted as middle_convolution shifts it, xi_mi) at every
+    multi-index of data whose leading-xi sum xi_mi is not zero."""
+    for mi in build_instance(data).multi_indices():
+        xi_mi = ZERO
+        for i in range(len(data.poles)):
+            xi_mi = xi_mi + data.block(i, mi[i]).xi[0]
+        if xi_mi:
+            yield _scalar_shift_tuple(t, data, mi, -1), xi_mi
+
+
+def _assert_datum_and_section_match_the_references(data, t):
+    """Compare both on t and its scalar shifts; the number of sections
+    compared (those with Q P = -xi_mi I and dim W > n, as the convolution
+    needs)."""
+    assert canonical_datum(t) == reference_canonical_datum(t)
+    sections = 0
+    for shifted, xi_mi in _scalar_shifts(data, t):
+        cd = canonical_datum(shifted)
+        assert cd == reference_canonical_datum(shifted)
+        p_map, q_map = cd.p_map(), cd.q_map()
+        if q_map * p_map != ExactMatrix.scalar(t.n, -xi_mi) or cd.dim_w <= t.n:
+            continue
+        assert _cokernel_section(p_map, q_map, xi_mi) == reference_section(p_map, q_map)
+        sections += 1
+    return sections
+
+
+# The reference section inverts a dim W x dim W basis, which took up to a
+# minute per draw at rank 4 with three finite poles (dim W up to 33), so the
+# draws stop at rank 3 and two finite poles.
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.integers(1, 2))
+def test_canonical_datum_and_section_match_the_inverse_rows(seed, n, poles):
+    data, t = random_orbit_tuple(random.Random(seed), n=n, p=poles)
+    _assert_datum_and_section_match_the_references(data, t)
+
+
+def test_canonical_datum_and_section_match_the_inverse_rows_on_the_samples():
+    sections = [_assert_datum_and_section_match_the_references(data, t)
+                for data, t in (_sample("pair"), _sample("order5"))]
+    assert sections == [4, 9]
+
+
+def test_middle_convolution_inverts_no_basis(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("basis inverted or completed")
+
+    for module in (numeric, matrixops):
+        monkeypatch.setattr(module, "invert", boom, raising=False)
+        monkeypatch.setattr(module, "complete_basis", boom, raising=False)
+    data, t = _sample("pair")
+    res = middle_convolution(t, data, (1, 1))
+    assert res.dim_w == canonical_datum(_scalar_shift_tuple(t, data, (1, 1), -1)).dim_w
+    assert res.output.n == res.dim_w - t.n > 0
 
 
 def test_sizeof_w_matches_canonical_datum():

@@ -7,7 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gadsp.numeric import (
     ExactMatrix,
@@ -15,6 +15,7 @@ from gadsp.numeric import (
     GaussRat,
     NonSplitError,
     SingularOperatorError,
+    _Echelon,
     _lifting_prime,
     block_diag,
     char_poly,
@@ -28,7 +29,9 @@ from gadsp.numeric import (
     qi_eigenvalues,
     qi_roots,
     rref,
+    rref_matrix,
     solve_general,
+    submatrix,
     vstack,
 )
 
@@ -518,6 +521,68 @@ def test_rref_with_non_real_pivots():
     assert rref(m) == expected
     assert expected[1] == [0, 1, 2]
     assert mat_rank(m) == 3
+
+
+def test_echelon_with_a_gaussian_first_pivot():
+    # The first pivot is 1+i, so the second row is scaled and the first row
+    # divided by a non-real d; the leading 2x2 minor (1+i)(1-i) = 2 is real,
+    # so the third row takes the real branch with d = 2.
+    m = ExactMatrix.from_rows([
+        [GaussRat(1, 1), 1, 2, GaussRat(0, 1)],
+        [0, GaussRat(1, -1), 1, 3],
+        [1, 2, GaussRat(0, 1), 5],
+        [GaussRat(2, -1), 0, 3, 1],
+    ])
+    assert m.d == 1
+    kernel = _Echelon()
+    divisors = []
+    for i in range(m.rows):
+        divisors.append(kernel.d)
+        kernel.add(m.z[i * m.cols:(i + 1) * m.cols])
+    assert divisors[:3] == [(1, 0), (1, 1), (2, 0)]
+    expected = reference_rref(m)
+    assert rref(m) == expected
+    assert expected[1] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("d", [(2, 0), (1, 1)], ids=["real", "gaussian"])
+def test_echelon_rejects_an_inexact_division(d):
+    # Rows with pivot entries d whose 2x2 minor off the pivots, 0*0 - 1*1,
+    # is not a multiple of d: no elimination reaches this state, and the
+    # update it forces does not divide exactly.
+    kernel = _Echelon()
+    kernel.rows = {0: [d, (0, 0), (1, 0), (0, 0)], 1: [(0, 0), d, (0, 0), (1, 0)]}
+    kernel.d = d
+    with pytest.raises(ArithmeticError, match="inexact"):
+        kernel.add([(0, 0), (1, 0), (1, 0), (0, 0)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices())
+@example(ExactMatrix.zeros(3, 4))
+@example(ExactMatrix.identity(3))
+@example(ExactMatrix.from_rows([[1, GaussRat(0, 1), 2], [0, 1, GaussRat(1, 1)]]))
+def test_kernel_completion_is_the_pivot_columns(m):
+    # complete_basis(mat_kernel(m)) takes exactly the standard vectors at
+    # the pivot columns of m's RREF, and the rows of the inverse of
+    # [kernel | completion] that project onto the completion are the RREF.
+    rows, pivots = reference_rref(m)
+    assert rref_matrix(m) == (pivots, ExactMatrix(len(pivots), m.cols,
+                                                  [x for row in rows[:len(pivots)] for x in row]))
+    kernel = mat_kernel(m)
+    comp = complete_basis(kernel)
+    identity = ExactMatrix.identity(m.cols)
+    assert comp == submatrix(identity, range(m.cols), pivots)
+    inv = invert(hstack([kernel, comp]))
+    assert inv.block(kernel.cols, m.cols, 0, m.cols) == rref_matrix(m)[1]
+
+
+def test_submatrix_picks_rows_and_columns_in_order():
+    m = ExactMatrix.from_rows([[1, 2, GaussRat(0, 3)], [4, GaussRat(Fraction(1, 2)), 6]])
+    assert submatrix(m, [1, 0], [2, 0]) == ExactMatrix.from_rows(
+        [[6, 4], [GaussRat(0, 3), 1]])
+    assert submatrix(m, [1], [1]) == ExactMatrix.from_rows([[GaussRat(Fraction(1, 2))]])
+    assert submatrix(m, [], [0, 1]) == ExactMatrix.zeros(0, 2)
 
 
 def test_shapes_without_entries():

@@ -20,7 +20,14 @@ from gadsp.spectral import (
     shift_pole,
     swap_xi,
 )
-from gadsp.gensamples import random_jordan
+from gadsp.builder import build_instance
+from gadsp.gensamples import (
+    random_fuchsian_data,
+    random_instance_data,
+    random_jordan,
+    random_orbit_tuple,
+    rng_from_seed,
+)
 
 
 def fuchsian_doc():
@@ -287,3 +294,47 @@ def test_swap_and_shift_reject_positions_out_of_range():
     for i0 in (0, 3):
         with pytest.raises(SpectralDataError, match="^shift pole index out of range$"):
             shift_pole(data, i0, GaussRat(1))
+
+
+class _LowestDraws:
+    """An rng whose randint returns its lower bound: every share of
+    random_jordan is 1, so the pool's seven values run out before n >= 8."""
+
+    def randint(self, a, b):
+        return a
+
+    def shuffle(self, values):
+        pass
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 10])
+def test_random_jordan_fills_its_size_when_the_pool_runs_out(n):
+    res = random_jordan(_LowestDraws(), n)
+    assert res.size == n
+    assert len(res.jordan) == min(n, 7)
+    assert res.jordan[-1][1] == (1,) + ((n - 7,) if n > 7 else ())
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_generators_return_data_of_the_rank_asked(seed):
+    rng = random.Random(seed)
+    for n in range(1, 11):
+        for p in (1, 2, 3):
+            assert random_fuchsian_data(rng, n=n, p=p).rank == n
+            assert random_instance_data(rng, n=n, p=p).rank == n
+            data, t = random_orbit_tuple(rng, n=n, p=p)
+            assert data.rank == t.n == n
+
+
+def test_the_walk_draw_that_came_out_short_builds():
+    # rng_from_seed(5), draw k = 141 of the walk draws: every residue share of
+    # one rank-8 pole was 1, and the draw raised "residue size mismatch".
+    rng = rng_from_seed(5)
+    for k in range(142):
+        if k % 2 == 0:
+            data = random_instance_data(rng, n=rng.randint(3, 6), p=rng.randint(1, 3))
+        else:
+            data = random_fuchsian_data(rng, n=rng.randint(3, 8), p=rng.randint(1, 4))
+    assert data.rank == 8
+    inst = build_instance(normalize(data)[0])
+    assert inst.alpha[0] == 8
