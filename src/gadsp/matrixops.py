@@ -10,14 +10,17 @@ touches non-negative powers, so it never survives the truncation).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .builder import QuiverInstance
 from .numeric import (
     ExactMatrix,
+    GaussRat,
     NonSplitError,
     ZERO,
     _Echelon,
+    _clear_denominators,
     _primitive,
     _reduced,
     _zmatmul,
@@ -175,41 +178,87 @@ def _scalar_value(m):
     return c if m == ExactMatrix.scalar(m.rows, c) else None
 
 
-def htl_reduce(part, order):
-    """Reduce a pole part to block-diagonal local normal form.
+def _gap_matrix(values, sizes):
+    """The n x n matrix with 1 / (v_i - v_j) on the blocks (i, j), i != j,
+    of the given sizes and 0 on the diagonal blocks, in canonical form.
 
-    Returns (HtlForm, gauge) with gauge[A]=form; blocks come out sorted by
-    their polynomial coefficient tuples from top degree down, so the order
-    is canonical.  Raises NonSplitError when a leading coefficient fails to
-    be semisimple with Q(i) eigenvalues (ramified or non-split input).
+    Over the values' common denominator D, v_k = w_k / D with w_k in Z[i],
+    so the entry is D conj(w_i - w_j) / |w_i - w_j|^2, a Gaussian integer
+    over an integer; it changes sign with (i, j), so each pair is computed
+    once.
+    """
+    scale, w = _clear_denominators(values)
+    pairs = {}
+    den = 1
+    for i in range(len(w)):
+        for j in range(i + 1, len(w)):
+            re, im = w[i][0] - w[j][0], w[i][1] - w[j][1]
+            norm = re * re + im * im
+            pairs[i, j] = (re * scale, -im * scale, norm)
+            den = math.lcm(den, norm)
+    entry = {}
+    for (i, j), (re, im, norm) in pairs.items():
+        f = den // norm
+        entry[i, j] = (re * f, im * f)
+        entry[j, i] = (-re * f, -im * f)
+    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
+    n = len(block_of)
+    return _reduced(n, n, den, [entry.get((i, j), (0, 0))
+                                for i in block_of for j in block_of])
+
+
+def htl_reduce(part, order, keys):
+    """Reduce a pole part to block-diagonal local normal form, split by the
+    leading values an orbit names.
+
+    keys are the q-coefficient tuples (degrees 2..order) of the orbit's
+    blocks of size > 0.  Returns (HtlForm, gauge) with gauge[A]=form; blocks
+    come out sorted by their polynomial coefficient tuples from top degree
+    down, so the order is canonical.  Raises NonSplitError when the part is
+    not in that orbit.
+
+    The candidate values at the top are the distinct q[-1], sorted by
+    sort_key, the order qi_roots gives roots in.  Eigenspaces of distinct
+    values are independent, so their dimensions sum to at most n, and to n
+    exactly when the top is semisimple over Q(i) with every eigenvalue among
+    the candidates.  So when every candidate has an eigenvector and the sum
+    is n, the candidates are the top's eigenvalues in qi_roots' order, and
+    the values, bases and eigenbasis below are those an eigenvalue search
+    would give: the form and the gauge are the same.  Otherwise the part is
+    not in the orbit:
+    - a shortfall means the top is not semisimple over Q(i), so no
+      reduction exists, or it has an eigenvalue no key names, whose blocks
+      would carry a key outside the orbit;
+    - a named value with no eigenvector leaves the keys ending in it with
+      no block; a scalar top c is one eigenvalue, so every key must end in
+      c.
+    Each eigenspace block recurses with the keys ending in its value, cut
+    to degrees 2..order-1, and the same holds one degree down: the form's
+    keys are then exactly the orbit's.
     """
     n = part[0].rows
     if order == 1:
         return HtlForm(1, (HtlBlock((), n, part[0]),)), poly_identity(n, 1)
 
     top = part[order - 1]
+    values = sorted({q[-1] for q in keys}, key=GaussRat.sort_key)
     scalar = _scalar_value(top)
     if scalar is not None:
-        sub_form, sub_gauge = htl_reduce(part[:order - 1], order - 1)
+        if values != [scalar]:
+            raise NonSplitError("scalar leading coefficient is not the one value "
+                                "the orbit names")
+        sub_form, sub_gauge = htl_reduce(part[:order - 1], order - 1,
+                                         [q[:-1] for q in keys])
         blocks = tuple(HtlBlock(b.q_coeffs + (scalar,), b.size, b.residue)
                        for b in sub_form.blocks)
         gauge = sub_gauge + [ExactMatrix.zeros(n)]
         return HtlForm(order, blocks), gauge
 
-    eigs = qi_eigenvalues(top)
-    bases = []
-    sizes = []
-    values = []
-    # Each value is an exact eigenvalue, so its eigenspace has a column; a
-    # defective one shows as a shortfall in the sizes' sum.
-    for value, _ in eigs:
-        basis = eigenspace_basis(top, value)
-        bases.append(basis)
-        sizes.append(basis.cols)
-        values.append(value)
-    if sum(sizes) != n:
-        raise NonSplitError(
-            "leading coefficient is not semisimple (ramified or non-split)")
+    bases = [eigenspace_basis(top, value) for value in values]
+    sizes = [basis.cols for basis in bases]
+    if 0 in sizes or sum(sizes) != n:
+        raise NonSplitError("leading coefficient does not split into the eigenspaces "
+                            "of the values the orbit names")
 
     pmat = hstack(bases)
     standard = pmat == ExactMatrix.identity(n)  # the eigenbasis is e_1..e_n
@@ -218,11 +267,7 @@ def htl_reduce(part, order):
 
     # Each gauge step solves u_rc = target_rc / (v_i - v_j) on the blocks
     # (i, j), i != j: the entrywise product with one matrix of the inverses.
-    block_of = [b for b, size in enumerate(sizes) for _ in range(size)]
-    inverses = {(i, j): (values[i] - values[j]).inverse()
-                for i in range(len(values)) for j in range(len(values)) if i != j}
-    gaps = ExactMatrix.from_rows([[inverses.get((i, j), ZERO) for j in block_of]
-                                  for i in block_of])
+    gaps = _gap_matrix(values, sizes)
 
     # The gauge is unip . g0, with unip the product of the steps 1 + step x^s.
     unip = poly_identity(n, order)
@@ -244,12 +289,12 @@ def htl_reduce(part, order):
 
     blocks = []
     gauges = []
-    for b, (r0, r1) in enumerate(_ranges(sizes)):
+    for value, (r0, r1) in zip(values, _ranges(sizes)):
         sub_part = [cur[j].block(r0, r1, r0, r1) for j in range(order - 1)]
-        sub_form, sub_gauge = htl_reduce(sub_part, order - 1)
+        sub_form, sub_gauge = htl_reduce(sub_part, order - 1,
+                                         [q[:-1] for q in keys if q[-1] == value])
         for blk in sub_form.blocks:
-            blocks.append(HtlBlock(blk.q_coeffs + (values[b],), blk.size,
-                                   blk.residue))
+            blocks.append(HtlBlock(blk.q_coeffs + (value,), blk.size, blk.residue))
         gauges.append(sub_gauge)
     if any(g != poly_identity(g[0].rows, order - 1) for g in gauges):
         assembled = [block_diag([g[s] for g in gauges]) for s in range(order - 1)]
@@ -291,10 +336,11 @@ def orbit_member(part, spec: OrbitSpec) -> bool:
     return _orbit_reduction(part, spec) is not None
 
 
-# The reduction of the last (pole part, order) reduced: (key, (form, gauge))
-# with the gauge a tuple, or (key, None) when the part is not split.  The
-# checks of one part against several orbits of one order share it; only one
-# entry is kept alive.
+# The reduction of the last (pole part, order, orbit keys) reduced:
+# (key, (form, gauge)) with the gauge a tuple, or (key, None) when the part
+# is not in the orbit.  The checks of one part against orbits with the same
+# keys (a predicted orbit and its xi-shifted twin) share it; only one entry
+# is kept alive.
 _last_reduction = None
 
 
@@ -305,18 +351,21 @@ def _orbit_reduction(part, spec: OrbitSpec):
     Decided by gauge reduction plus residue rank sequences against the
     annihilating sequence: the polynomial parts must match block for block
     and each reduced residue must reproduce the prescribed rank sequence.
-    The reduction depends on the part and spec.order alone, so it is
-    memoized on them.  Only this function writes the memo, whole, once
+    The reduction splits the part by the values the spec's block keys name
+    (`htl_reduce`), so it depends on the part, spec.order and the set of
+    keys alone, and is memoized on them; the keys are a frozenset, so a
+    memo hit sorts nothing.  Only this function writes the memo, whole, once
     htl_reduce returned; a reduction that raises anything but NonSplitError
     leaves the previous entry.
     """
     global _last_reduction
-    key, memo = (tuple(part), spec.order), _last_reduction
+    keys = frozenset(blk.q_coeffs for blk in spec.blocks if blk.size > 0)
+    key, memo = (tuple(part), spec.order, keys), _last_reduction
     if memo is not None and memo[0] == key:
         reduced = memo[1]
     else:
         try:
-            form, gauge = htl_reduce(part, spec.order)
+            form, gauge = htl_reduce(part, spec.order, keys)
             reduced = form, tuple(gauge)
         except NonSplitError:
             reduced = None
@@ -878,6 +927,8 @@ def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
     the P rows b = v_P + R_{P,F} v_F = R v.  So E_P is the section of W_i,
     and the shift, evaluation and inclusion are read off at P: columns P of
     R N, columns P of the evaluation, and R's columns for the last copy of V.
+    N moves each copy of V to the next, so R N is R shifted right by n
+    columns, and no product is formed.
     """
     n = t.n
     dims = []
@@ -886,15 +937,14 @@ def canonical_datum(t: MatrixTuple) -> CanonicalDatum:
     p_blocks = []
     for k, part in zip(t.orders, t.parts):
         nk = n * k
-        zero, one = ExactMatrix.zeros(n), ExactMatrix.identity(n)
+        zero = ExactMatrix.zeros(n)
         a_hat = vstack([hstack([part[k - 1 - s + r] if s >= r else zero for s in range(k)])
-                        for r in range(k)])
-        n_hat = vstack([hstack([one if s == r + 1 else zero for s in range(k)])
                         for r in range(k)])
         q_hat = hstack([part[k - 1 - s] for s in range(k)])
         pivots, proj = rref_matrix(a_hat)
         dim_w = len(pivots)
-        t_blocks.append(submatrix(proj * n_hat, range(dim_w), pivots))
+        shifted = hstack([ExactMatrix.zeros(dim_w, n), proj])
+        t_blocks.append(submatrix(shifted, range(dim_w), pivots))
         q_blocks.append(submatrix(q_hat, range(n), pivots))
         # proj times the inclusion of V as the last of the k copies
         p_blocks.append(proj.block(0, dim_w, nk - n, nk))

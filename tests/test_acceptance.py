@@ -252,7 +252,8 @@ def test_acceptance_5_splitting_roundtrip():
         form = random_htl_form(rng, n, order)
         gauge = random_gauge(rng, n, order)
         part = gauge_conjugate(gauge, form.part_matrices(), order)
-        red, out_gauge = htl_reduce(part, order)
+        red, out_gauge = htl_reduce(part, order,
+                                    frozenset(b.q_coeffs for b in form.blocks))
         assert sorted(map(key, red.blocks)) == sorted(map(key, form.blocks))
         for fb in form.blocks:
             rb = next(b for b in red.blocks if b.q_coeffs == fb.q_coeffs)

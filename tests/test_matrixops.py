@@ -78,11 +78,19 @@ from gadsp.numeric import (
     mat_kernel,
     mat_rank,
     qi_eigenvalues,
+    rref_matrix,
+    submatrix,
     vstack,
 )
 from gadsp.quiver import reflect_composite
 from gadsp.serialize import parse_spectral, parse_tuple
-from gadsp.spectral import IrregularBlock, PoleData, ResidueSpec, make_spectral_data
+from gadsp.spectral import (
+    IrregularBlock,
+    PoleData,
+    ResidueSpec,
+    make_spectral_data,
+    shifted_products,
+)
 
 
 def test_poly_inverse_roundtrip():
@@ -158,6 +166,16 @@ def _random_matrix(rng, n):
     return ExactMatrix.from_rows([[pick(rng) for _ in range(n)] for _ in range(n)])
 
 
+def _form_keys(form):
+    """The block keys htl_reduce splits by, read off a normal form."""
+    return frozenset(b.q_coeffs for b in form.blocks)
+
+
+def _spec_keys(spec):
+    """The block keys of an orbit spec, as _orbit_reduction builds them."""
+    return frozenset(b.q_coeffs for b in spec.blocks if b.size > 0)
+
+
 def test_gauge_conjugation_matches_its_definition():
     rng = random.Random(20)
     for _ in range(80):
@@ -182,7 +200,7 @@ def test_htl_reduce_fixes_normal_forms():
     for _ in range(8):
         n, order = rng.randint(1, 3), rng.randint(1, 3)
         form = random_htl_form(rng, n, order)
-        red, gauge = htl_reduce(form.part_matrices(), order)
+        red, gauge = htl_reduce(form.part_matrices(), order, _form_keys(form))
         assert [(b.q_coeffs, b.size) for b in red.blocks] \
             == [(b.q_coeffs, b.size) for b in form.blocks]
         # residues agree blockwise up to conjugacy; at identity gauge exactly
@@ -294,8 +312,9 @@ def test_htl_reduce_matches_reference():
         parts.extend(list(p) for p in random_orbit_tuple(rng)[1].parts)
     for part in parts:
         order = len(part)
-        red, gauge = htl_reduce(part, order)
-        assert (red, gauge) == reference_htl_reduce(part, order)
+        ref = reference_htl_reduce(part, order)
+        red, gauge = htl_reduce(part, order, _form_keys(ref[0]))
+        assert (red, gauge) == ref
         assert gauge_conjugate(gauge, part, order) == red.part_matrices()
 
 
@@ -319,7 +338,7 @@ def test_htl_reduce_roundtrip_random_gauges():
         form = random_htl_form(rng, n, order)
         g = random_gauge(rng, n, order)
         part = gauge_conjugate(g, form.part_matrices(), order)
-        red, gauge = htl_reduce(part, order)
+        red, gauge = htl_reduce(part, order, _form_keys(form))
         assert sorted((tuple(c.sort_key() for c in b.q_coeffs), b.size)
                       for b in red.blocks) \
             == sorted((tuple(c.sort_key() for c in b.q_coeffs), b.size)
@@ -817,6 +836,22 @@ def reference_section(p_map, q_map):
     return invert(hstack([p_map, comp])).block(n, dim_w, 0, dim_w), comp
 
 
+def product_shift_maps(t):
+    """Each pole's shift map as columns P of the product R N, with N the
+    block shift of V^k, as canonical_datum formed it before it copied
+    columns of R."""
+    n, maps = t.n, []
+    for k, part in zip(t.orders, t.parts):
+        zero, one = ExactMatrix.zeros(n), ExactMatrix.identity(n)
+        a_hat = vstack([hstack([part[k - 1 - s + r] if s >= r else zero for s in range(k)])
+                        for r in range(k)])
+        n_hat = vstack([hstack([one if s == r + 1 else zero for s in range(k)])
+                        for r in range(k)])
+        pivots, proj = rref_matrix(a_hat)
+        maps.append(submatrix(proj * n_hat, range(len(pivots)), pivots))
+    return tuple(maps)
+
+
 def _scalar_shifts(data, t):
     """(the tuple shifted as middle_convolution shifts it, xi_mi) at every
     multi-index of data whose leading-xi sum xi_mi is not zero."""
@@ -833,10 +868,12 @@ def _assert_datum_and_section_match_the_references(data, t):
     compared (those with Q P = -xi_mi I and dim W > n, as the convolution
     needs)."""
     assert canonical_datum(t) == reference_canonical_datum(t)
+    assert canonical_datum(t).t_blocks == product_shift_maps(t)
     sections = 0
     for shifted, xi_mi in _scalar_shifts(data, t):
         cd = canonical_datum(shifted)
         assert cd == reference_canonical_datum(shifted)
+        assert cd.t_blocks == product_shift_maps(shifted)
         p_map, q_map = cd.p_map(), cd.q_map()
         if q_map * p_map != ExactMatrix.scalar(t.n, -xi_mi) or cd.dim_w <= t.n:
             continue
@@ -880,7 +917,8 @@ def test_sizeof_w_matches_canonical_datum():
         data, t = random_orbit_tuple(rng, n=rng.randint(1, 3), p=rng.randint(1, 2))
         forms = []
         for i in range(len(data.poles)):
-            form, _ = htl_reduce(list(t.parts[i]), t.orders[i])
+            form, _ = htl_reduce(list(t.parts[i]), t.orders[i],
+                                 _spec_keys(orbit_spec_from_data(data, i)))
             forms.append(form)
         assert canonical_datum(t).dim_w == sizeof_w_from_forms(forms)
 
@@ -1075,7 +1113,7 @@ def test_orbit_check_rejects_non_split_leading_coefficient(top, pole):
     to_quiver_rep(t, data, inst)
     part = [t.parts[pole][0], ExactMatrix.from_rows(top)]
     with pytest.raises(NonSplitError):
-        htl_reduce(part, 2)
+        htl_reduce(part, 2, _spec_keys(orbit_spec_from_data(data, pole)))
     assert not orbit_member(part, orbit_spec_from_data(data, pole))
     parts = list(t.parts)
     parts[pole] = tuple(part)
@@ -1097,9 +1135,9 @@ def _counting_htl_reduce(monkeypatch):
     calls = []
     real = matrixops.htl_reduce
 
-    def counted(part, order):
+    def counted(part, order, keys):
         calls.append(order)
-        return real(part, order)
+        return real(part, order, keys)
 
     monkeypatch.setattr(matrixops, "htl_reduce", counted)
     monkeypatch.setattr(matrixops, "_last_reduction", None)
@@ -1119,7 +1157,8 @@ def test_orbit_member_same_answer_with_a_primed_memo(monkeypatch):
                 fresh = orbit_member(list(part), spec)
                 for primer in others:
                     orbit_member(list(part), primer)
-                    assert matrixops._last_reduction[0] == (part, spec.order)
+                    assert matrixops._last_reduction[0] \
+                        == (part, primer.order, _spec_keys(primer))
                     assert orbit_member(list(part), spec) == fresh
                 checked += 1
             assert orbit_member(list(part), specs[i])
@@ -1133,17 +1172,17 @@ def test_reduction_memo_is_not_changed_by_callers(monkeypatch):
     returned = []
     real = matrixops.htl_reduce
 
-    def recorded(part, order):
-        red = real(part, order)
+    def recorded(part, order, keys):
+        red = real(part, order, keys)
         returned.append(red[1])
         return red
 
     monkeypatch.setattr(matrixops, "htl_reduce", recorded)
     rep, facts = to_quiver_rep(t, data, inst)
-    (part, order), (form, gauge) = matrixops._last_reduction
+    (part, order, keys), (form, gauge) = matrixops._last_reduction
     last = len(t.parts) - 1
     spec = orbit_spec_from_data(data, last)
-    assert order == spec.order
+    assert (order, keys) == (spec.order, _spec_keys(spec))
     with pytest.raises(TypeError):
         gauge[0] = ExactMatrix.zeros(t.n)
     for g in returned:  # every list htl_reduce handed out
@@ -1162,7 +1201,7 @@ def test_non_split_part_is_rejected_twice(monkeypatch):
     part = [t.parts[0][0], ExactMatrix.from_rows([[0, 2], [1, 0]])]
     calls = _counting_htl_reduce(monkeypatch)
     assert not orbit_member(part, spec)
-    assert matrixops._last_reduction == ((tuple(part), 2), None)
+    assert matrixops._last_reduction == ((tuple(part), 2, _spec_keys(spec)), None)
     assert not orbit_member(part, spec)
     assert calls == [2]
 
@@ -1174,7 +1213,7 @@ def test_a_raising_reduction_leaves_the_previous_entry(monkeypatch):
     assert orbit_member(part, spec)
     kept = matrixops._last_reduction
 
-    def broken(part, order):
+    def broken(part, order, keys):
         raise RuntimeError("reduction failed")
 
     monkeypatch.setattr(matrixops, "htl_reduce", broken)
@@ -1200,6 +1239,134 @@ def test_predicted_and_shifted_checks_reduce_once(monkeypatch):
     assert len(calls) == once
     assert orbit_member(parts[1], res.predicted[1])
     assert len(calls) > once
+
+
+def reference_orbit_reduction(part, spec):
+    """_orbit_reduction as it was before the reduction took the orbit's keys,
+    with no memo: reference_htl_reduce, whose leading values come from
+    qi_eigenvalues, then the comparison of block keys, sizes and residue
+    rank sequences."""
+    try:
+        form, gauge = reference_htl_reduce(part, spec.order)
+    except NonSplitError:
+        return None
+    want = {blk.q_coeffs: blk for blk in spec.blocks if blk.size > 0}
+    have = {b.q_coeffs: b for b in form.blocks if b.size > 0}
+    if set(want) != set(have):
+        return None
+    for key, blk in want.items():
+        red = have[key]
+        if red.size != blk.size:
+            return None
+        prod = None
+        for l, (prod, r_l) in enumerate(
+                zip(shifted_products(red.residue, blk.xi), blk.ranks), start=1):
+            if l == 1 and blk.head_free:
+                continue
+            if mat_rank(prod) != r_l:
+                return None
+        if prod is None or not prod.is_zero():
+            return None
+    return form, tuple(gauge)
+
+
+def _top_moved(spec, b):
+    """spec with block b's top q-coefficient moved by 1."""
+    blocks = list(spec.blocks)
+    q = blocks[b].q_coeffs
+    blocks[b] = replace(blocks[b], q_coeffs=q[:-1] + (q[-1] + 1,))
+    return replace(spec, blocks=tuple(blocks))
+
+
+def _specs_of_order(data, order):
+    """Every pole's spec of the given order, each also with its xi moved by
+    1 and with one block's top value moved by 1."""
+    own = [orbit_spec_from_data(data, i) for i in range(len(data.poles))
+           if data.poles[i].order == order]
+    moved = [_top_moved(s, b) for s in own for b in range(len(s.blocks)) if order > 1]
+    return own + [_xi_shifted(s) for s in own] + moved
+
+
+def _assert_orbit_reduction_matches_the_reference(part, spec):
+    red = matrixops._orbit_reduction(part, spec)
+    assert red == reference_orbit_reduction(part, spec)
+    return red is not None
+
+
+def _assert_orbit_reductions_match_the_reference(data, t):
+    """Compare every part of t against every spec of its order; the number
+    of comparisons that found the part in the orbit."""
+    members = 0
+    for i, part in enumerate(t.parts):
+        for spec in _specs_of_order(data, t.orders[i]):
+            members += _assert_orbit_reduction_matches_the_reference(list(part), spec)
+        assert orbit_member(list(part), orbit_spec_from_data(data, i))
+    return members
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 3))
+def test_orbit_reduction_matches_the_reference(seed, n, poles):
+    data, t = random_orbit_tuple(random.Random(seed), n=n, p=poles)
+    assert _assert_orbit_reductions_match_the_reference(data, t) >= len(t.parts)
+
+
+@pytest.mark.parametrize("name", ["pair", "order5"])
+def test_orbit_reduction_matches_the_reference_on_the_samples(name, monkeypatch):
+    monkeypatch.setattr(matrixops, "_last_reduction", None)
+    data, t = _sample(name)
+    assert _assert_orbit_reductions_match_the_reference(data, t) >= len(t.parts)
+
+
+def _spec_with_tops(tops, size=1):
+    """An order-2 spec with one block of the given size per top value, each
+    with residue 0 (xi = (0,), ranks = (0,))."""
+    return matrixops.OrbitSpec(2, tuple(
+        matrixops.OrbitBlockSpec((GaussRat(top),), size, (ZERO,), (0,)) for top in tops))
+
+
+@pytest.mark.parametrize("top, tops, member", [
+    ([[0, 2], [1, 0]], (1, -1), False),   # eigenvalues +-sqrt(2): no split over Q(i)
+    ([[0, 1], [0, 0]], (0,), False),      # 0 is defective
+    ([[1, 0], [0, -1]], (1, -1), True),
+    ([[1, 0], [0, -1]], (1, -1, 3), False),   # 3 is named, with no eigenvector
+    ([[1, 0], [0, -1]], (1, 3), False),       # -1 is not named
+    ([[5, 0], [0, 5]], (1, -1), False),       # a scalar top no key names
+    ([[1, 0], [0, 1]], (1, -1), False),       # a scalar top and a value it lacks
+    ([[1, 0], [0, 1]], (1,), True),
+], ids=["non-split", "defective", "split", "named-value-missing", "unnamed-value",
+        "unnamed-scalar", "scalar-and-missing-value", "scalar"])
+def test_orbit_reduction_matches_the_reference_on_chosen_tops(top, tops, member,
+                                                               monkeypatch):
+    monkeypatch.setattr(matrixops, "_last_reduction", None)
+    part = [ExactMatrix.zeros(2), ExactMatrix.from_rows(top)]
+    spec = _spec_with_tops(tops, size=2 if len(tops) == 1 else 1)
+    assert _assert_orbit_reduction_matches_the_reference(part, spec) is member
+    if not member:
+        with pytest.raises(NonSplitError):
+            htl_reduce(part, 2, _spec_keys(spec))
+
+
+def test_matrix_mc_group_finds_no_eigenvalues(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("eigenvalues searched for")
+
+    doc = json.loads((pathlib.Path(__file__).resolve().parents[1]
+                      / "perfbench" / "inputs" / "matrix-mc.json").read_text())
+    entry = doc["entries"][0]
+    data = parse_spectral(entry["instance"])
+    t = parse_tuple(entry["tuple"], data)
+    monkeypatch.setattr(matrixops, "qi_eigenvalues", boom)
+    monkeypatch.setattr(matrixops, "_last_reduction", None)
+    res = middle_convolution(t, data, tuple(entry["multi_index"]))
+    verdicts = [orbit_member(list(part), check(spec))
+                for part, spec in zip(res.output.parts, res.predicted)
+                for check in (lambda s: s, _xi_shifted)]
+    assert verdicts == [True, False] * len(res.output.parts)
+    inst = build_instance(data)
+    rep, _ = to_quiver_rep(t, data, inst)
+    for value, m in zip(inst.lam, moment_map(inst, rep)):
+        assert m == ExactMatrix.scalar(m.rows, value)
 
 
 def test_quasi_irreducibility_via_matrix_side():
