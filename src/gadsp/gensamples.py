@@ -10,10 +10,9 @@ normal forms.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .matrixops import HtlBlock, HtlForm, MatrixTuple, gauge_conjugate
-from .numeric import ExactMatrix, GaussRat, ZERO, mat_rank
+from .numeric import ExactMatrix, GaussRat, ONE, ZERO, mat_rank
 from .spectral import (
     INFINITY,
     IrregularBlock,
@@ -24,7 +23,7 @@ from .spectral import (
 )
 
 POOL = (GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(2),
-        GaussRat(Fraction(1, 2)), GaussRat(0, 1), GaussRat(1, -1))
+        ONE / 2, GaussRat(0, 1), GaussRat(1, -1))
 
 
 def pick(rng, pool=POOL):

@@ -3,20 +3,25 @@
 Every quantity in this package (eigenvalues, polynomial-part coefficients,
 matrix entries) lives in Q(i), so equality, rank and kernel questions are
 decidable and all downstream certificates are reproducible bit for bit.
-A matrix is one positive integer denominator over its row-major numerators
+Every value has one form: one positive integer denominator over numerators
 in the Gaussian integers Z[i], in lowest terms (the shared denominator of
-FLINT's fmpq_mat), so sums, scalings, products and eliminations run on ints.
-GaussRat is the scalar and the I/O type: a matrix is built from GaussRats and
-gives them back only through its entry views.  Every elimination runs in one
-kernel, `_Echelon`: a fraction-free (Bareiss) Gauss-Jordan basis that takes
-one row at a time and says whether it was new.  Rank, RREF, kernels, inverses
-and linear solves insert the rows of a matrix; basis completion inserts the
-columns and then the standard vectors; the exact Burnside closure in
-`matrixops` inserts the words it generates.  The pivot of a row is its first
-nonzero entry, never a magnitude heuristic.  `rref_matrix` gives the pivots
-and the nonzero RREF rows of one elimination; the canonical datum of
-`matrixops` reads its projection straight from them, and kernels are built
-from them, so no basis is completed and inverted there.
+FLINT's fmpq_mat).  A matrix keeps its numerators row-major; the scalar
+GaussRat is the 1 x 1 case, three ints (a + bi)/d.  So sums, scalings,
+products and eliminations run on ints, literals parse straight to them, and
+a matrix reads its entries out as GaussRats with one gcd each.  Fraction
+appears only where a GaussRat takes parts in or gives them back (`re`, `im`,
+`sort_key`) and in the hash of a real non-integer, which equals its
+Fraction's.
+
+Every elimination runs in one kernel, `_Echelon`: a fraction-free (Bareiss)
+Gauss-Jordan basis that takes one row at a time and says whether it was new.
+Rank, RREF, kernels, inverses and linear solves insert the rows of a matrix;
+basis completion inserts the columns and then the standard vectors; the
+exact Burnside closure in `matrixops` inserts the words it generates.  The
+pivot of a row is its first nonzero entry, never a magnitude heuristic.
+`rref_matrix` gives the pivots and the nonzero RREF rows of one elimination;
+the canonical datum of `matrixops` reads its projection straight from them,
+and kernels are built from them, so no basis is completed and inverted there.
 
 Eigenvalues are the roots in Q(i) of the characteristic polynomial, found
 exactly in plain Python by modular root finding and Hensel lifting (von zur
@@ -51,101 +56,163 @@ class NonSplitError(ArithmeticError):
 
 
 class GaussRat:
-    """Immutable Gaussian rational a + bi with exact Fraction components."""
+    """Immutable Gaussian rational (a + bi) / d.
 
-    __slots__ = ("re", "im")
+    Stored as three ints, the 1 x 1 case of ExactMatrix's canonical form:
+    d > 0 and gcd(a, b, d) == 1, so equal values have equal fields.  The
+    constructor takes the real and imaginary parts as ints or Fractions, and
+    `re` and `im` give them back as Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = math.lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
 
+    @property
+    def re(self):
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        return Fraction(self.b, self.d)
+
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return self.a != 0 or self.b != 0
 
     def __eq__(self, other):
         if isinstance(other, GaussRat):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.re == other and self.im == 0
+            return self.a == other.a and self.b == other.b and self.d == other.d
+        if isinstance(other, int):
+            return self.b == 0 and self.d == 1 and self.a == other
+        if isinstance(other, Fraction):
+            return (self.b == 0 and self.a == other.numerator
+                    and self.d == other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        if self.im == 0:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        # a real value hashes as the equal int or Fraction does
+        if self.b:
+            return hash((self.a, self.b, self.d))
+        if self.d == 1:
+            return hash(self.a)
+        return hash(Fraction(self.a, self.d))
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _gauss_over(self.a + other.a, self.b + other.b, d)
+        return _gauss_over(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        d, e = self.d, other.d
+        if d == e:
+            return _gauss_over(self.a - other.a, self.b - other.b, d)
+        return _gauss_over(self.a * e - other.a * d, self.b * e - other.b * d, d * e)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return GaussRat(other.re - self.re, other.im - self.im)
+        return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, f = self.a, self.b, other.a, other.b
+        return _gauss_over(a * c - b * f, a * f + b * c, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _gauss(-self.a, -self.b, self.d)
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
+        if type(other) is not GaussRat:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        # (a + bi)/d / ((c + fi)/e) = e (a + bi)(c - fi) / (d (c^2 + f^2))
+        a, b, c, f, e = self.a, self.b, other.a, other.b, other.d
+        n = c * c + f * f
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return _gauss_over((a * c + b * f) * e, (b * c - a * f) * e, self.d * n)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other * self.inverse()
+        return other / self
 
     def inverse(self):
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat(self.re / n, -self.im / n)
+        return ONE / self
 
     def conjugate(self):
-        return GaussRat(self.re, -self.im)
+        return _gauss(self.a, -self.b, self.d)
 
     def sort_key(self):
         """Lexicographic (re, im) key used for all deterministic orderings."""
         return (self.re, self.im)
 
     def __str__(self):
-        if self.im == 0:
-            return _frac_str(self.re)
-        if self.re == 0:
-            return _frac_str(self.im) + "i"
-        sign = "+" if self.im > 0 else "-"
-        return _frac_str(self.re) + sign + _frac_str(abs(self.im)) + "i"
+        a, b, d = self.a, self.b, self.d
+        if b == 0:
+            return _ratio_str(a, d)
+        if a == 0:
+            return _ratio_str(b, d) + "i"
+        return _ratio_str(a, d) + ("+" if b > 0 else "-") + _ratio_str(abs(b), d) + "i"
 
     def __repr__(self):
-        return "GaussRat(%r, %r)" % (str(self.re), str(self.im))
+        return "GaussRat(%r, %r)" % (_ratio_str(self.a, self.d), _ratio_str(self.b, self.d))
+
+
+_set_a = GaussRat.a.__set__
+_set_b = GaussRat.b.__set__
+_set_d = GaussRat.d.__set__
+
+
+def _gauss(a, b, d):
+    """The GaussRat (a + bi) / d; (a, b, d) must be in canonical form."""
+    g = object.__new__(GaussRat)
+    _set_a(g, a)
+    _set_b(g, b)
+    _set_d(g, d)
+    return g
+
+
+def _gauss_over(re, im, d):
+    """The GaussRat (re + im i) / d, for ints re, im and d > 0."""
+    if not (re or im):
+        return ZERO
+    g = math.gcd(re, im, d)
+    if g != 1:
+        re, im, d = re // g, im // g, d // g
+    return _gauss(re, im, d)
 
 
 def _coerce(value):
@@ -156,10 +223,13 @@ def _coerce(value):
     return None
 
 
-def _frac_str(f):
-    if f.denominator == 1:
-        return _int_str(f.numerator)
-    return _int_str(f.numerator) + "/" + _int_str(f.denominator)
+def _ratio_str(n, d):
+    """n / d in lowest terms, for ints n and d > 0: digits, then '/' and the
+    denominator's digits unless it is 1."""
+    g = math.gcd(n, d)
+    if g == d:
+        return _int_str(n // d)
+    return _int_str(n // g) + "/" + _int_str(d // g)
 
 
 def _int_str(n):
@@ -185,7 +255,8 @@ I_UNIT = GaussRat(0, 1)
 
 
 def _scan_rational(text, pos, end):
-    """The rational `['-'] digits ['/' digits]` that fills text[pos:end].
+    """(numerator, denominator > 0) of the rational `['-'] digits ['/' digits]`
+    that fills text[pos:end].
 
     Positions count from the start of text, in errors too; a scan that stops
     before end raises "trailing characters" where it stopped.  Digits are
@@ -213,7 +284,7 @@ def _scan_rational(text, pos, end):
             raise GaussParseError("zero denominator", d1)
     if pos != end:
         raise GaussParseError("trailing characters", pos)
-    return Fraction(num, den)
+    return num, den
 
 
 def _digits_int(text, start, end):
@@ -245,15 +316,17 @@ def gauss_parse(text: str) -> GaussRat:
     if start >= end:
         raise GaussParseError("empty literal", 0)
     if text[end - 1] != "i":
-        return GaussRat(_scan_rational(text, start, end))
+        num, den = _scan_rational(text, start, end)
+        return _gauss_over(num, 0, den)
     end -= 1
     split = max(text.rfind("+", start + 1, end), text.rfind("-", start + 1, end))
     if split > start:
-        re_part = _scan_rational(text, start, split)
-        im = _scan_rational(text, split + 1, end)
-        return GaussRat(re_part, im if text[split] == "+" else -im)
+        a, d = _scan_rational(text, start, split)
+        b, e = _scan_rational(text, split + 1, end)
+        return _gauss_over(a * e, b * d if text[split] == "+" else -b * d, d * e)
     plus = text.startswith("+", start, end)
-    return GaussRat(0, _scan_rational(text, start + plus, end))
+    num, den = _scan_rational(text, start + plus, end)
+    return _gauss_over(0, num, den)
 
 
 class ExactMatrix:
@@ -303,7 +376,12 @@ class ExactMatrix:
 
     @staticmethod
     def scalar(n, value):
-        return ExactMatrix.zeros(n).add_scalar(value)
+        """value * identity(n), built in canonical form: value's numerator on
+        the diagonal over its denominator."""
+        value = _coerce(value)
+        z = [(0, 0)] * (n * n)
+        z[::n + 1] = [(value.a, value.b)] * n
+        return _make(n, n, value.d if n else 1, z)
 
     @property
     def entries(self):
@@ -346,7 +424,8 @@ class ExactMatrix:
                      [(-a, -b) for a, b in self.z])
 
     def scale(self, c):
-        cd, ((x, y),) = _clear_denominators([_coerce(c)])
+        c = _coerce(c)
+        x, y, cd = c.a, c.b, c.d
         return _reduced(self.rows, self.cols, self.d * cd,
                         [(a * x - b * y, a * y + b * x) for a, b in self.z])
 
@@ -376,7 +455,8 @@ class ExactMatrix:
         """self + c * identity."""
         if self.rows != self.cols:
             raise ValueError("shape mismatch")
-        cd, ((x, y),) = _clear_denominators([_coerce(c)])
+        c = _coerce(c)
+        x, y, cd = c.a, c.b, c.d
         d = math.lcm(self.d, cd)
         f, g = d // self.d, d // cd
         z = [(a * f, b * f) for a, b in self.z]
@@ -470,19 +550,12 @@ def _clear_denominators(entries):
     # below 20 on free lists that only full collections empty (test_lint.py).
     d = 1
     for x in entries:
-        d = math.lcm(d, x.re.denominator, x.im.denominator)
-    return d, [(x.re.numerator * (d // x.re.denominator),
-                x.im.numerator * (d // x.im.denominator)) for x in entries]
-
-
-def _gauss_over(re, im, d):
-    """The GaussRat (re + im i) / d, for ints re, im and d != 0."""
-    if not (re or im):
-        return ZERO
-    g = object.__new__(GaussRat)
-    object.__setattr__(g, "re", Fraction(re, d))
-    object.__setattr__(g, "im", Fraction(im, d))
-    return g
+        d = math.lcm(d, x.d)
+    out = []
+    for x in entries:
+        f = d // x.d
+        out.append((x.a * f, x.b * f))
+    return d, out
 
 
 def _zmul(a, b):
@@ -720,7 +793,7 @@ def char_poly(m: ExactMatrix):
         mk = _zmatmul(a, mk, n, n, n)
         tr = (sum(z[0] for z in mk[::n + 1]), sum(z[1] for z in mk[::n + 1]))
         ck = _zdiv_exact((-tr[0], -tr[1]), (k, 0))
-        coeffs.append(GaussRat(Fraction(ck[0], d ** k), Fraction(ck[1], d ** k)))
+        coeffs.append(_gauss_over(ck[0], ck[1], d ** k))
         for i in range(0, n * n, n + 1):
             mk[i] = (mk[i][0] + ck[0], mk[i][1] + ck[1])
     return coeffs
@@ -738,9 +811,7 @@ def qi_roots(coeffs):
     # q(y) = d^n p(y/d) is monic over Z[i]; its roots in Q(i) are Gaussian
     # integers, d times the roots of p.
     d, _ = _clear_denominators(coeffs)
-    q = [(c.re.numerator * d ** k // c.re.denominator,
-          c.im.numerator * d ** k // c.im.denominator)
-         for k, c in enumerate(coeffs)]
+    q = [(c.a * d ** k // c.d, c.b * d ** k // c.d) for k, c in enumerate(coeffs)]
     if len(q) == 1:
         return []
     n = len(q) - 1
@@ -757,7 +828,7 @@ def qi_roots(coeffs):
             if rem[0] != (0, 0):
                 break
             q, mult = quot, mult + 1
-        roots.append((GaussRat(Fraction(r[0], d), Fraction(r[1], d)), mult))
+        roots.append((_gauss_over(r[0], r[1], d), mult))
     if len(q) > 1:
         raise NonSplitError("polynomial does not split over Q(i)")
     roots.sort(key=lambda p: p[0].sort_key())

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import compress
-from math import lcm
 from operator import mul
 
-from .numeric import GaussRat, ZERO
+from .numeric import GaussRat, ZERO, _clear_denominators
 
 
 @dataclass(frozen=True)
@@ -148,16 +147,13 @@ def orthogonality_rows(lam) -> tuple:
     """The integer rows whose dot products with beta all vanish exactly when
     beta . lam == 0.
 
-    lam is brought over one common denominator (the lcm of the denominators
-    of its real and imaginary parts); the rows are the real and the imaginary
-    numerators, each left out when it is zero, so lam == 0 gives no row.
+    lam is brought over one common denominator (the lcm of its entries'
+    denominators); the rows are the real and the imaginary numerators, each
+    left out when it is zero, so lam == 0 gives no row.
     """
-    ratios = [l.re.as_integer_ratio() + l.im.as_integer_ratio() for l in lam]
-    den = 1
-    for _, rd, _, jd in ratios:
-        den = lcm(den, rd, jd)
-    re = tuple(rn * (den // rd) for rn, rd, _, _ in ratios)
-    im = tuple(jn * (den // jd) for _, _, jn, jd in ratios)
+    _, z = _clear_denominators(lam)
+    re = tuple(a for a, _ in z)
+    im = tuple(b for _, b in z)
     return tuple(row for row in (re, im) if any(row))
 
 

@@ -236,8 +236,7 @@ def _membership(q: Quiver, alpha, lam, lattice, node_cap):
     if lattice is not None and not kernel_test(lattice)(alpha):
         reasons.append("FAIL: alpha is not in the level-sum lattice")
         return Verdict(False, tuple(reasons))
-    support = [(a, l) for a, l in zip(alpha, lam) if a and l]
-    if sum(a * l.re for a, l in support) or sum(a * l.im for a, l in support):
+    if not kernel_test(orthogonality_rows(lam))(alpha):
         reasons.append("FAIL: alpha . lambda != 0")
         return Verdict(False, tuple(reasons))
     reasons.append("pass: alpha . lambda = 0")

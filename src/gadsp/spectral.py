@@ -253,27 +253,28 @@ def make_spectral_data(rank, poles) -> SpectralData:
         raise SpectralDataError("rank must be positive")
     if not poles or poles[0].label != INFINITY:
         raise SpectralDataError("pole 0 must be the point at infinity")
-    labels = [p.label for p in poles]
-    if len(set(labels)) != len(labels):  # so pole 0 is the only one at infinity
-        raise SpectralDataError("duplicate pole labels")
+    first = {}
+    for pos, pole in enumerate(poles):  # so pole 0 is the only one at infinity
+        if first.setdefault(pole.label, pos) != pos:
+            raise SpectralDataError("pole %d: duplicate label %r, first at pole %d"
+                                    % (pos, pole.label, first[pole.label]))
     out_poles = []
-    for pole in poles:
+    for pos, pole in enumerate(poles):
         if pole.order < 1:
-            raise SpectralDataError("pole order must be >= 1")
+            raise SpectralDataError("pole %d: order must be >= 1" % pos)
         if pole.size != rank:
             raise SpectralDataError(
-                "pole %r: block sizes sum to %d, expected rank %d"
-                % (pole.label, pole.size, rank))
+                "pole %d: block sizes sum to %d, expected rank %d"
+                % (pos, pole.size, rank))
         for blk in pole.blocks:
             if len(blk.q_coeffs) > max(pole.order - 1, 0):
-                raise SpectralDataError(
-                    "pole %r: q degree exceeds pole order" % pole.label)
+                raise SpectralDataError("pole %d: q degree exceeds pole order" % pos)
             if blk.residue.size != blk.size:
-                raise SpectralDataError("pole %r: residue size mismatch" % pole.label)
+                raise SpectralDataError("pole %d: residue size mismatch" % pos)
         width = _q_width(pole.blocks)
         by_key = {blk.q_sort_key(width): blk for blk in pole.blocks}
         if len(by_key) != len(pole.blocks):
-            raise SpectralDataError("pole %r: blocks not distinct" % pole.label)
+            raise SpectralDataError("pole %d: blocks not distinct" % pos)
         resolved = []
         for key in sorted(by_key):
             blk = by_key[key]
@@ -281,7 +282,7 @@ def make_spectral_data(rank, poles) -> SpectralData:
                 xi, ranks = (blk.xi, rank_sequence(blk.residue, blk.xi)) if blk.xi \
                     else select_xi(blk.residue)
             except NonSplitError as exc:
-                where = "pole %r block %d" % (pole.label, pole.blocks.index(blk))
+                where = "pole %d block %d" % (pos, pole.blocks.index(blk))
                 raise SpectralDataError("%s residue: %s" % (where, exc)) from None
             resolved.append(replace(blk, xi=xi, ranks=ranks))
         out_poles.append(PoleData(pole.label, pole.order, tuple(resolved)))

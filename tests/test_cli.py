@@ -402,7 +402,7 @@ def test_malformed_tuple_matrix_exits_two(tmp_path, capsys, rows):
 
 def test_explicit_residue_outside_q_i_exits_two(tmp_path, capsys):
     path = write(tmp_path, "inst.json", _residue_doc([["0", "2"], ["1", "0"]]))
-    _rejects(capsys, ["check", path], "pole 'a1' block 0 residue: ")
+    _rejects(capsys, ["check", path], "pole 1 block 0 residue: ")
 
 
 @pytest.mark.parametrize("index, place", [
@@ -457,11 +457,11 @@ def test_internal_value_error_exits_four(monkeypatch, capsys):
 @pytest.mark.parametrize("keys, value, place", [
     (("rank",), 0, "rank must be positive"),
     (("poles", 0, "point"), "a0", "pole 0 must be the point at infinity"),
-    (("poles", 2, "point"), "a1", "duplicate pole labels"),
+    (("poles", 2, "point"), "a1", "pole 2: duplicate label 'a1', first at pole 1"),
     # an order-1 pole takes no q at all
-    (("poles", 1, "blocks", 0, "q"), ["1"], "pole 'a1': q degree exceeds pole order"),
+    (("poles", 1, "blocks", 0, "q"), ["1"], "pole 1: q degree exceeds pole order"),
     (("poles", 1, "blocks", 0, "residue", "jordan", 0, "blocks"), [2],
-     "pole 'a1': residue size mismatch"),
+     "pole 1: residue size mismatch"),
     (("poles", 1, "blocks", 0, "residue", "jordan", 1, "value"), "0",
      "pole 1 block 0: repeated eigenvalue in jordan data"),
     (("poles", 1, "blocks", 0, "residue"), {"xi": ["0"]},

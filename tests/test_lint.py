@@ -2,8 +2,8 @@
 literals take ASCII digits only, the module state stays the one README
 lists with one writer each, the limits stay the two that count work,
 rejected input keeps one class, no handler takes apart the message of the
-exception it caught, only the sample generator draws random numbers, and
-every module-level import is used.
+exception it caught, only the sample generator draws random numbers, only
+numeric names Fraction, and every module-level import is used.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -288,6 +288,42 @@ def test_the_check_sees_random_imports():
                      "import secrets\nfrom .random import x\nimport randomness\n"
                      "def f():\n    import random.x\n")
     assert list(_random_imports(tree)) == [1, 2, 3, 8]
+
+
+# One exact number representation: a GaussRat is three ints, (a + bi) / d,
+# and numeric alone names Fraction, for the constructor's parts and the re
+# and im views.  Every other module uses GaussRat arithmetic or its ints.
+FRACTION_USERS = {"numeric"}
+
+
+def _fraction_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("Fraction", "fractions"):
+            yield node.lineno
+
+
+def test_only_numeric_names_fraction():
+    found = ["%s:%d" % (path.name, line) for path in SOURCES
+             if path.stem not in FRACTION_USERS
+             for line in _fraction_names(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+    assert all(any(_fraction_names(ast.parse(path.read_text(), str(path))))
+               for path in SOURCES if path.stem in FRACTION_USERS)
+
+
+def test_the_check_sees_fraction_names():
+    tree = ast.parse("from fractions import Fraction as F\nimport fractions\n"
+                     "x = fractions.Fraction(1, 2)\ny = Fraction\nz = F(1)\n"
+                     "fraction = 'Fraction'\n")
+    assert sorted(set(_fraction_names(tree))) == [1, 2, 3, 4]
 
 
 # Every module-level import is used in its module.  roots imports quiver.dot

@@ -16,6 +16,7 @@ from gadsp.numeric import (
     NonSplitError,
     SingularOperatorError,
     _Echelon,
+    _int_str,
     _lifting_prime,
     block_diag,
     char_poly,
@@ -266,6 +267,228 @@ def test_arithmetic_field_axioms_spotcheck():
     assert a + (-a) == GaussRat(0)
     assert a * a.inverse() == GaussRat(1)
     assert a.conjugate().conjugate() == a
+
+
+# ---------------------------------------------------------------------------
+# GaussRat against the pair of Fractions it was stored as before it became
+# three ints, kept as the reference with only its names changed
+
+
+class ReferenceGaussRat:
+    """Immutable Gaussian rational a + bi with exact Fraction components."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        object.__setattr__(self, "re", Fraction(re))
+        object.__setattr__(self, "im", Fraction(im))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussRat is immutable")
+
+    def __bool__(self):
+        return self.re != 0 or self.im != 0
+
+    def __eq__(self, other):
+        if isinstance(other, ReferenceGaussRat):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and self.im == 0
+        return NotImplemented
+
+    def __hash__(self):
+        if self.im == 0:
+            return hash(self.re)
+        return hash((self.re, self.im))
+
+    def __add__(self, other):
+        other = _reference_coerce(other)
+        if other is None:
+            return NotImplemented
+        return ReferenceGaussRat(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = _reference_coerce(other)
+        if other is None:
+            return NotImplemented
+        return ReferenceGaussRat(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        other = _reference_coerce(other)
+        if other is None:
+            return NotImplemented
+        return ReferenceGaussRat(other.re - self.re, other.im - self.im)
+
+    def __mul__(self, other):
+        other = _reference_coerce(other)
+        if other is None:
+            return NotImplemented
+        return ReferenceGaussRat(
+            self.re * other.re - self.im * other.im,
+            self.re * other.im + self.im * other.re,
+        )
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return ReferenceGaussRat(-self.re, -self.im)
+
+    def __truediv__(self, other):
+        other = _reference_coerce(other)
+        if other is None:
+            return NotImplemented
+        return self * other.inverse()
+
+    def __rtruediv__(self, other):
+        other = _reference_coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inverse()
+
+    def inverse(self):
+        n = self.re * self.re + self.im * self.im
+        if n == 0:
+            raise ZeroDivisionError("division by zero in Q(i)")
+        return ReferenceGaussRat(self.re / n, -self.im / n)
+
+    def conjugate(self):
+        return ReferenceGaussRat(self.re, -self.im)
+
+    def sort_key(self):
+        """Lexicographic (re, im) key used for all deterministic orderings."""
+        return (self.re, self.im)
+
+    def __str__(self):
+        if self.im == 0:
+            return _reference_frac_str(self.re)
+        if self.re == 0:
+            return _reference_frac_str(self.im) + "i"
+        sign = "+" if self.im > 0 else "-"
+        return _reference_frac_str(self.re) + sign + _reference_frac_str(abs(self.im)) + "i"
+
+    def __repr__(self):
+        return "GaussRat(%r, %r)" % (str(self.re), str(self.im))
+
+
+def _reference_coerce(value):
+    if isinstance(value, ReferenceGaussRat):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return ReferenceGaussRat(value)
+    return None
+
+
+def _reference_frac_str(f):
+    if f.denominator == 1:
+        return _int_str(f.numerator)
+    return _int_str(f.numerator) + "/" + _int_str(f.denominator)
+
+
+def assert_canonical(g):
+    """g is (a + bi) / d for ints with d > 0 and gcd(a, b, d) == 1."""
+    assert type(g) is GaussRat
+    assert (type(g.a), type(g.b), type(g.d)) == (int, int, int)
+    assert g.d > 0 and math.gcd(g.a, g.b, g.d) == 1
+
+
+def assert_same(g, ref):
+    """g is canonical and has ref's value, which it prints as ref does."""
+    assert_canonical(g)
+    assert type(ref) is ReferenceGaussRat
+    assert (g.re, g.im) == (ref.re, ref.im)
+    assert (type(g.re), type(g.im)) == (Fraction, Fraction)
+    assert str(g) == str(ref)
+    # repr(ref) prints through str(Fraction), which refuses values past the
+    # interpreter's digit limit; GaussRat's repr prints the same parts as str
+    assert repr(g) == "GaussRat(%r, %r)" % (_reference_frac_str(ref.re),
+                                            _reference_frac_str(ref.im))
+    assert g.sort_key() == ref.sort_key()
+    assert bool(g) == bool(ref)
+
+
+BIG = 2 ** 40
+big_rationals = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+# small parts too, so that sums, equal values and zeros are drawn often
+gauss_parts = st.tuples(st.one_of(st.integers(-2, 2), big_rationals),
+                        st.one_of(st.integers(-2, 2), big_rationals))
+
+
+def check_against_the_reference(x, y):
+    """Every operation on GaussRat(*x) and GaussRat(*y), and on each with the
+    int and Fraction parts of y, matches the Fraction-pair reference."""
+    g, h = GaussRat(*x), GaussRat(*y)
+    r, s = ReferenceGaussRat(*x), ReferenceGaussRat(*y)
+    assert_same(g, r)
+    assert_same(h, s)
+    others = [(h, s)] + [(v, v) for v in y] + [(v.numerator, v.numerator)
+                                               for v in y if isinstance(v, Fraction)]
+    for other, ref in others:
+        assert_same(g + other, r + ref)
+        assert_same(other + g, ref + r)
+        assert_same(g - other, r - ref)
+        assert_same(other - g, ref - r)
+        assert_same(g * other, r * ref)
+        assert_same(other * g, ref * r)
+        if ref:
+            assert_same(g / other, r / ref)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                g / other
+        if r:
+            assert_same(other / g, ref / r)
+        assert (g == other) == (r == ref) and (other == g) == (ref == r)
+        assert (g != other) == (r != ref)
+        if g == other:
+            assert hash(g) == hash(other)
+    assert_same(-g, -r)
+    assert_same(g.conjugate(), r.conjugate())
+    if r:
+        assert_same(g.inverse(), r.inverse())
+    else:
+        with pytest.raises(ZeroDivisionError):
+            g.inverse()
+    assert (g.sort_key() < h.sort_key()) == (r.sort_key() < s.sort_key())
+    if not g.b:
+        assert hash(g) == hash(g.re) and g == g.re
+        if g.d == 1:
+            assert g == int(g.re) and hash(g) == hash(int(g.re))
+
+
+@settings(max_examples=300, deadline=None)
+@given(gauss_parts, gauss_parts)
+@example((0, 0), (0, 0))
+@example((1, 0), (Fraction(1, 2), 0))
+@example((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(-1, 2)))
+@example((Fraction(3, BIG), Fraction(-5, BIG - 1)), (Fraction(-BIG, 3), 2))
+def test_gauss_rat_matches_the_fraction_pair_reference(x, y):
+    check_against_the_reference(x, y)
+    g = GaussRat(*x)
+    assert_same(gauss_parse(str(g)), ReferenceGaussRat(*x))
+    assert gauss_parse(" %s\t" % g) == reference_gauss_parse(str(g)) == g
+
+
+def test_gauss_rat_matches_the_reference_past_the_digit_limit():
+    # parts of 15,000 bits, about 4,500 digits each, past the default limit
+    # of 4,300; the arithmetic never converts to decimal, and str prints
+    # through _int_str whatever the limit
+    rng = random.Random(7)
+    x = (Fraction(rng.getrandbits(15000), rng.getrandbits(15000) | 1),
+         Fraction(-rng.getrandbits(15000), 3))
+    y = (Fraction(rng.getrandbits(14500) | 1), Fraction(1, rng.getrandbits(15000) | 1))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        check_against_the_reference(x, y)
+        printed = [str(GaussRat(*x) * GaussRat(*y)), str(GaussRat(*x) / GaussRat(*y))]
+        sys.set_int_max_str_digits(0)   # int() reads any length back
+        want = [ReferenceGaussRat(*x) * ReferenceGaussRat(*y),
+                ReferenceGaussRat(*x) / ReferenceGaussRat(*y)]
+        for text, ref in zip(printed, want):
+            assert_same(gauss_parse(text), ref)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_rank_identity_and_zero():
@@ -668,6 +891,10 @@ def test_matrix_form_is_canonical(case):
     assert_same_form((a + b) - b, a)
     assert_same_form(a.scale(2).scale(Fraction(1, 2)), a)
     assert_same_form(sq.add_scalar(s).add_scalar(-s), sq)
+    # scalar and identity are built in canonical form, not through add_scalar
+    n = sq.rows
+    assert_same_form(ExactMatrix.scalar(n, s), ExactMatrix.zeros(n).add_scalar(s))
+    assert_same_form(ExactMatrix.identity(n), ExactMatrix.zeros(n).add_scalar(1))
     if s:
         assert_same_form(a.scale(s).scale(s.inverse()), a)
     for zero in (a - a, a.scale(0), a + (-a), ExactMatrix.zeros(a.rows, a.cols)):

@@ -1,17 +1,22 @@
+import contextlib
+import io
 import itertools
 import json
 import math
+import os
 import pathlib
 import random
+import tempfile
 from dataclasses import replace
 from fractions import Fraction
 from operator import le, sub
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, settings, strategies as st
 
 from gadsp.builder import add_shift, build_instance, lattice_rows, perm_xi
-from gadsp.gensamples import random_fuchsian_data, random_instance_data
+from gadsp.cli import main as cli_main
+from gadsp.gensamples import POOL, random_fuchsian_data, random_instance_data
 from gadsp.numeric import GaussRat
 from gadsp.quiver import Quiver, dot, kernel_test, orthogonality_rows, tits
 from gadsp import roots, sigma
@@ -947,3 +952,77 @@ def test_benchmark_candidates_match_the_filtered_closure(monkeypatch):
     assert memberships == 164
     # most memberships scan: 7,704 points are root-tested
     assert len(tested) > 7000
+
+
+# ---------------------------------------------------------------------------
+# The Sigma-tilde verdict depends on the conjugacy classes alone: not on the
+# order of the blocks in a document, nor on an additive twist compensated at
+# infinity.  `gadsp check` exits with a documented code whatever it is fed.
+
+
+@settings(max_examples=50, deadline=None)
+@given(generated_instances(), st.randoms(use_true_random=False))
+def test_tilde_verdict_ignores_block_order_in_the_document(drawn, rnd):
+    data, inst = drawn
+    document = json.loads(dumps(spectral_to_document(data)))
+    for pole in document["poles"]:
+        rnd.shuffle(pole["blocks"])
+    shuffled = build_instance(normalize(parse_spectral(document))[0])
+    assert shuffled.alpha == inst.alpha and shuffled.lam == inst.lam
+    verdict = sigma_tilde_member(inst)
+    sigma._last_candidates = None   # decide the shuffled instance afresh
+    assert sigma_tilde_member(shuffled) == verdict
+
+
+@settings(max_examples=50, deadline=None)
+@given(generated_instances(), st.data())
+def test_tilde_verdict_is_unchanged_by_add_shift(drawn, data):
+    _, inst = drawn
+    assume(inst.data.p >= 1)
+    i0 = data.draw(st.integers(1, inst.data.p))
+    gamma = data.draw(st.sampled_from(POOL[1:]))
+    shifted = add_shift(inst, i0, gamma)
+    assert shifted.alpha == inst.alpha
+    assert sigma_tilde_member(shifted).solvable == sigma_tilde_member(inst).solvable
+
+
+def _value_paths(doc, path=()):
+    """The key paths to every value inside a JSON document, outermost first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _value_paths(value, path + (key,))
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2, 9),
+                        st.sampled_from(["", "x", "1/0", "1+i", "infinity", "-1/2"]),
+                        st.just([]), st.just({}), st.just(["1"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_instances(), st.data())
+def test_check_exits_with_a_documented_code(drawn, data):
+    normalized, inst = drawn
+    document = json.loads(dumps(spectral_to_document(normalized)))
+    mutated = data.draw(st.booleans())
+    if mutated:
+        path = data.draw(st.sampled_from(list(_value_paths(document))[1:]))
+        target = document
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = data.draw(JSON_VALUES)
+    flags = data.draw(st.sampled_from([[], ["--reduce"], ["--max-nodes", "1"]]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "instance.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(document, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["check", path] + flags)
+    event("exit %d" % code)
+    assert code in (0, 1, 2, 3, 4)
+    assert (out.getvalue() == "") == (code >= 2)
+    if not mutated and flags != ["--max-nodes", "1"]:
+        sigma._last_candidates = None
+        assert code == (0 if sigma_tilde_member(inst).solvable else 1)

@@ -270,7 +270,7 @@ def test_direct_construction_rejects_what_the_parser_checks_first():
         return PoleData("infinity", order, (IrregularBlock((), 1, ResidueSpec(
             jordan=((GaussRat(0), (1,)),))),))
     assert make_spectral_data(1, (pole(1),)).poles[0].order == 1
-    with pytest.raises(SpectralDataError, match="^pole order must be >= 1$"):
+    with pytest.raises(SpectralDataError, match="^pole 0: order must be >= 1$"):
         make_spectral_data(1, (pole(0),))
     one = ExactMatrix.from_rows([[1]])
     jordan = ((GaussRat(1), (1,)),)
@@ -283,6 +283,26 @@ def test_direct_construction_rejects_what_the_parser_checks_first():
         ResidueSpec(jordan=jordan * 2)
     with pytest.raises(SpectralDataError, match="^explicit residue must be square$"):
         ResidueSpec(explicit=ExactMatrix.from_rows([[1, 0]]))
+
+
+def test_spectral_data_errors_name_a_pole_by_its_position():
+    # the parser names a pole by its position in the document, and so do
+    # the checks behind it; a repeated label names both positions
+    def pole(label, size=1, q=(), order=1):
+        return PoleData(label, order, (IrregularBlock(q, size, ResidueSpec(
+            jordan=((GaussRat(0), (1,) * size),))),))
+    for poles, message in (
+            ((pole("infinity"), pole("a"), pole("a")),
+             "pole 2: duplicate label 'a', first at pole 1"),
+            ((pole("infinity"), pole("infinity")),
+             "pole 1: duplicate label 'infinity', first at pole 0"),
+            ((pole("infinity"), pole("a", size=2)),
+             "pole 1: block sizes sum to 2, expected rank 1"),
+            ((pole("infinity"), pole("a"), pole("b", q=(GaussRat(1),))),
+             "pole 2: q degree exceeds pole order")):
+        with pytest.raises(SpectralDataError) as err:
+            make_spectral_data(1, poles)
+        assert str(err.value) == message
 
 
 def test_swap_and_shift_reject_positions_out_of_range():
