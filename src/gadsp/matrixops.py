@@ -779,37 +779,25 @@ def _invariant_span_holds(basis, gens, n):
     return not any(span.add(_zmatmul(g, v, n, n, 1)) for g in gens for v in basis)
 
 
-def _reducible_by_spin(gens, red, n):
+def _reducible_by_spin(gens, n):
     """True when a proper invariant subspace over Q(i) proves the tuple
-    reducible; False when the probes find none.
+    reducible; False when no spin finds one.
 
-    Each e_j is spun mod p under the generators and under their transposes
-    (the dual module), and the e_j with the smallest proper span is spun
-    again exactly over Z[i].  A proper span mod p is only a hint, since
-    reduction can drop the dimension; the exact span is the certificate.
+    Each e_j is spun exactly over Z[i], under the generators and then under
+    their transposes (the dual module), until one span is proper.  That
+    span is the certificate, rechecked by `_invariant_span_holds`.
     """
-    dual = [_transposed(g, n) for g in red]
-    probes = []
-    for side, mats in enumerate((red, dual)):
-        for j in range(n):
-            span = _spin([int(i == j) for i in range(n)], mats, n,
-                         lambda g, v: _modp_matmul(g, v, n, n, 1), _modp_echelon())
-            if len(span) < n:
-                probes.append((len(span), side, j))
-    if not probes:
-        return False
-    _, side, j = min(probes)
     exact = [g.z for g in gens]
-    if side:
-        exact = [_transposed(g, n) for g in exact]
-    basis = _spin([(int(i == j), 0) for i in range(n)], exact, n,
-                  lambda g, v: _primitive(_zmatmul(g, v, n, n, 1)), _Echelon().add)
-    if len(basis) == n:
-        return False
-    if not _invariant_span_holds(basis, exact, n):
-        raise AssertionError("the spin of e_%d is not a proper invariant subspace (bug)"
-                             % (j + 1))
-    return True
+    for mats in (exact, [_transposed(g, n) for g in exact]):
+        for j in range(n):
+            basis = _spin([(int(i == j), 0) for i in range(n)], mats, n,
+                          lambda g, v: _primitive(_zmatmul(g, v, n, n, 1)), _Echelon().add)
+            if len(basis) < n:
+                if not _invariant_span_holds(basis, mats, n):
+                    raise AssertionError("the spin of e_%d is not a proper invariant "
+                                         "subspace (bug)" % (j + 1))
+                return True
+    return False
 
 
 def irreducible_test(t: MatrixTuple) -> bool:
@@ -819,26 +807,29 @@ def irreducible_test(t: MatrixTuple) -> bool:
     The algebra is spanned over Q(i); its dimension is stable under field
     extension, so the test decides absolute irreducibility.  Reduction mod
     p can only drop the dimension of a span, so an algebra that is all of
-    M_n(F_p) mod p proves the answer True.  The stages:
+    M_n(F_p) mod p proves the answer True; modular arithmetic proves
+    nothing else.  Every False comes from an exact invariant subspace or
+    from the exact closure.  The stages:
 
     1. For n > 3, Norton's test mod p (`_norton_modp`) spins one kernel
        vector of an element of the algebra under the generators, and one
        of its transpose under the transposes: n-dimensional spins, not the
        n^2-dimensional closure.  When both reach n, the algebra mod p is
-       M_n(F_p): the answer is True.  When one falls short, the algebra mod
-       p is not M_n(F_p), and the closure mod p is skipped.
+       M_n(F_p): the answer is True.  When one falls short, the closure mod
+       p is skipped, since it cannot reach n^2 either.
     2. For n <= 3, or when no element of Norton's sequence has a kernel of
        dimension 1, the closure mod p decides instead; reaching n^2 proves
-       True.
-    3. Otherwise probe for a proper invariant subspace by spinning
-       standard basis vectors mod p, under the generators and under their
-       transposes, and spin the best probe exactly.  A proper subspace
-       over Q(i) invariant under every generator, or under every transpose
-       (the transposed algebra has the same dimension), keeps the algebra
-       below n^2, so the answer is False.  `_invariant_span_holds` rechecks
-       the span's rank and invariance before it is believed.
-    4. Otherwise the exact closure over Z[i] decides: when p divides a
-       denominator, when reduction mod p lost the span's dimension, or when
+       True.  When p divides a denominator, stages 1 and 2 are skipped.
+    3. Otherwise spin the standard basis vectors exactly over Z[i], under
+       the generators and then under their transposes
+       (`_reducible_by_spin`).  A proper subspace over Q(i) invariant under
+       every generator, or under every transpose (the transposed algebra
+       has the same dimension), keeps the algebra below n^2, so the answer
+       is False.  `_invariant_span_holds` rechecks the span's rank and
+       invariance before it is believed.
+    4. Otherwise the exact closure over Z[i] decides: when reduction mod p
+       lost the span's dimension, when every invariant subspace misses the
+       standard basis vectors and its annihilator misses them too, or when
        every invariant subspace needs a field larger than Q(i).  A True
        answer still comes only from a full span.
     """
@@ -853,8 +844,8 @@ def irreducible_test(t: MatrixTuple) -> bool:
         norton = _norton_modp(red, n) if n > 3 else None
         if norton or (norton is None and _irreducible_modp(red, n)):
             return True
-        if _reducible_by_spin(gens, red, n):
-            return False
+    if _reducible_by_spin(gens, n):
+        return False
     return _irreducible_exact(gens, n)
 
 
@@ -1169,9 +1160,7 @@ class PoleFactorization:
 
 def _level_groups(form: HtlForm, level):
     """Group consecutive blocks agreeing on q coefficients at degrees > level."""
-    keys = []
-    for b in form.blocks:
-        keys.append(tuple(c.sort_key() for c in b.q_coeffs[level - 1:]))
+    keys = [b.q_coeffs[level - 1:] for b in form.blocks]
     groups = []
     start = 0
     for idx in range(1, len(keys) + 1):
@@ -1267,18 +1256,16 @@ def residue_identity_holds(fact: PoleFactorization) -> bool:
     return True
 
 
-def _image_chain(s_mat, xi):
-    """Bases of Im prod_{l<=k}(S - xi_l) for k = 1..len(xi)-1."""
-    return [column_space_basis(prod) for prod in shifted_products(s_mat, xi[:-1])]
-
-
-def _leg_maps(s_mat, xi, bases):
-    """(psi, psi*) along one leg built from S and its annihilating sequence."""
+def _leg_maps(s_mat, xi):
+    """(psi, psi*) along one leg: the maps between the images of
+    prod_{l<=k}(S - xi_l), k = 1..len(xi)-1, each basis built as the
+    products are walked."""
     psi = []
     psi_star = []
     prev = None  # the identity: the first step needs no solve and no product
-    for k, basis in enumerate(bases):
-        shift = s_mat.add_scalar(-xi[k])
+    for x, prod in zip(xi, shifted_products(s_mat, xi[:-1])):
+        basis = column_space_basis(prod)
+        shift = s_mat.add_scalar(-x)
         psi.append(basis if prev is None else solve_general(prev, basis))
         psi_star.append(solve_general(basis, shift if prev is None else shift * prev))
         prev = basis
@@ -1338,8 +1325,7 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
                 s_mat = facts[i].form.blocks[j - 1].residue
             else:
                 s_mat = parts[i][0]
-            bases = _image_chain(s_mat, blk.xi)
-            leg_data[(i, j)] = (bases, _leg_maps(s_mat, blk.xi, bases))
+            leg_data[(i, j)] = _leg_maps(s_mat, blk.xi)
 
     # every crossing into outer pole i reads a block of one product
     x1g = {i: parts[i][0] * facts[i].g_const for i in sorted(inst.i_irr - {0})}
@@ -1366,20 +1352,16 @@ def to_quiver_rep(t: MatrixTuple, data: SpectralData, inst: QuiverInstance):
         elif len(src) == 3 and tgt[0] == src[0]:
             # leg arrow [i,j,k] -> [i,j,k-1], where [i,j,0] is [i,j]
             i, j, k = src
-            _, (leg_psi, leg_psi_star) = leg_data[(i, j)]
+            leg_psi, leg_psi_star = leg_data[(i, j)]
             psi[a] = leg_psi[k - 1]
             psi_star[a] = leg_psi_star[k - 1]
         else:
-            # regular-pole bridge [i,1,1] -> [0,j]
-            i = src[0]
-            j = tgt[1]
-            bases, _ = leg_data[(i, 1)]
-            c0, c1 = ranges[0][j - 1]
-            basis = bases[0]
-            psi[a] = basis.block(c0, c1, 0, basis.cols)
-            shift = parts[i][0].add_scalar(-data.block(i, 1).xi[0])
-            g_full = solve_general(basis, shift)
-            psi_star[a] = g_full.block(0, basis.cols, c0, c1)
+            # regular-pole bridge [i,1,1] -> [0,j]: rows and columns of the
+            # first maps of leg (i, 1), whose S is the residue parts[i][0]
+            leg_psi, leg_psi_star = leg_data[(src[0], 1)]
+            c0, c1 = ranges[0][tgt[1] - 1]
+            psi[a] = leg_psi[0].block(c0, c1, 0, leg_psi[0].cols)
+            psi_star[a] = leg_psi_star[0].block(0, leg_psi[0].cols, c0, c1)
 
     rep = QuiverRep(tuple(dims), tuple(psi), tuple(psi_star))
     _check_rep_shapes(inst, rep)

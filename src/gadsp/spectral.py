@@ -92,29 +92,29 @@ def select_xi(res: ResidueSpec):
     (largest Jordan block) times, eigenvalues in the order given by the
     Jordan data (or sorted (re, im)-lex for explicit matrices).  Returns
     (xi tuple, ranks tuple) with ranks[k-1] = rank of the first k factors.
+
+    For an explicit matrix R one chain of products finds both: for each
+    eigenvalue v, the running product is multiplied by R - v while its
+    rank drops.  The other factors are invertible on the generalized
+    eigenspace of v, so the drops are its largest Jordan block.
     """
     if res.jordan is not None:
-        xi = []
-        for value, blocks in res.jordan:
-            xi.extend([value] * max(blocks))
-        xi = tuple(xi)
-    else:
-        m = res.explicit
-        xi = []
-        for value, _ in qi_eigenvalues(m):
-            shifted = m.add_scalar(-value)
-            power, rank = shifted, mat_rank(shifted)
-            largest = 1
-            while True:
-                power = power * shifted
-                next_rank = mat_rank(power)
-                if next_rank == rank:
-                    break
-                rank = next_rank
-                largest += 1
-            xi.extend([value] * largest)
-        xi = tuple(xi)
-    return xi, rank_sequence(res, xi)
+        xi = tuple(value for value, blocks in res.jordan for _ in range(max(blocks)))
+        return xi, rank_sequence(res, xi)
+    m = res.explicit
+    xi, ranks = [], []
+    prod, rank = None, m.rows
+    for value, _ in qi_eigenvalues(m):
+        shift = m.add_scalar(-value)
+        while True:
+            step = shift if prod is None else prod * shift
+            next_rank = mat_rank(step)
+            if next_rank == rank:
+                break
+            prod, rank = step, next_rank
+            xi.append(value)
+            ranks.append(rank)
+    return tuple(xi), _annihilating(ranks)
 
 
 def shifted_products(m, xi):
@@ -144,6 +144,12 @@ def rank_sequence(res: ResidueSpec, xi) -> tuple:
             ranks.append(total)
     else:
         ranks = [mat_rank(prod) for prod in shifted_products(res.explicit, xi)]
+    return _annihilating(ranks)
+
+
+def _annihilating(ranks) -> tuple:
+    """The rank sequence as a tuple; SpectralDataError unless it is
+    nonempty and ends at 0."""
     if ranks and ranks[-1] != 0:
         raise SpectralDataError("xi sequence does not annihilate the residue")
     if not ranks:

@@ -3,7 +3,8 @@ literals take ASCII digits only, the module state stays the one README
 lists with one writer each, the limits stay the two that count work,
 rejected input keeps one class, no handler takes apart the message of the
 exception it caught, only the sample generator draws random numbers, only
-numeric names Fraction, and every module-level import is used.
+numeric names Fraction, every module-level import is used, and every
+module-level function and class is named somewhere else.
 
 A call math.gcd(*xs) or math.lcm(*xs) builds one argument tuple of len(xs),
 and CPython keeps up to 2000 freed tuples of each size below 20 on free
@@ -15,6 +16,8 @@ pass two or three arguments at a time.
 
 import ast
 import pathlib
+import re
+from collections import Counter
 
 import gadsp
 
@@ -363,3 +366,42 @@ def test_the_check_sees_unused_imports():
                      "import collections.abc\n"
                      "def f():\n    import math\n    return rref(os.sep)\n")
     assert _unused_imports(tree) == [(3, "j"), (4, "invert"), (8, "collections")]
+
+
+# Every module-level function and class of src/gadsp is named somewhere other
+# than its own definition, in src/, tests/ or perfbench/: called, imported,
+# named as a tracer site or mentioned.  A name no one writes is dead code.
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _unreferenced_definitions(sources, others):
+    """(module, name) of each module-level def or class of `sources` (module
+    name -> text) whose name, as a whole word, occurs in `sources` and the
+    texts `others` only inside its own definition."""
+    words = Counter(w for text in [*sources.values(), *others] for w in re.findall(r"\w+", text))
+    for module, text in sources.items():
+        lines = text.splitlines()
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                first = min([node.lineno] + [d.lineno for d in node.decorator_list])
+                own = re.findall(r"\w+", "\n".join(lines[first - 1:node.end_lineno]))
+                if words[node.name] == own.count(node.name):
+                    yield module, node.name
+
+
+def test_every_definition_is_named_elsewhere():
+    sources = {path.stem: path.read_text() for path in SOURCES}
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert others
+    assert list(_unreferenced_definitions(sources, others)) == []
+
+
+def test_the_check_sees_unreferenced_definitions():
+    sources = {"a": "def f(x):\n    return f(x - 1) + g(x)\n\n"
+                    "@wrap\nclass C:\n    pass\n\n"
+                    "def g(x):\n    return x\n",
+               "b": "def h():\n    pass\n\ndef k():\n    pass\n"}
+    # f calls only itself, h_x is another word and k is named in a comment
+    others = ["C()\nh_x = 1\n# see b.k\n"]
+    assert list(_unreferenced_definitions(sources, others)) == [("a", "f"), ("b", "h")]

@@ -571,6 +571,20 @@ def test_irreducible_exact_path_when_modp_gives_up():
     assert irreducible_test(t) is True
 
 
+def test_exact_spin_proves_reducible_where_modp_gives_up(monkeypatch):
+    # 1/(2p) has no image mod p = 1000000009, so neither modular stage runs;
+    # every generator maps e3 to a multiple of itself, and the exact spin of
+    # e3 proves False without the exact closure.
+    a = ExactMatrix.from_rows([[GaussRat(Fraction(1, 2 * 1000000009), 1), 1, 0],
+                               [1, 0, 0], [2, 3, 5]])
+    b = ExactMatrix.from_rows([[0, 1, 0], [1, 1, 0], [0, 1, 2]])
+    assert _modp_gens([a, b]) is None
+    monkeypatch.setattr(matrixops, "_irreducible_exact", _no_exact_closure)
+    outcomes = _traced(monkeypatch, STAGES)
+    assert irreducible_test(MatrixTuple(3, (1, 1), ((a,), (b,)))) is False
+    assert outcomes == [("_reducible_by_spin", True)]
+
+
 P = 1000000009  # the prime of the modular stages
 
 

@@ -3,9 +3,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from gadsp.numeric import ExactMatrix, GaussRat
+from gadsp.numeric import ExactMatrix, GaussRat, invert, mat_rank, qi_eigenvalues
 from gadsp.serialize import parse_spectral
 from gadsp.spectral import (
     IrregularBlock,
@@ -24,6 +24,7 @@ from gadsp.builder import build_instance
 from gadsp.gensamples import (
     random_fuchsian_data,
     random_instance_data,
+    random_invertible,
     random_jordan,
     random_orbit_tuple,
     rng_from_seed,
@@ -212,6 +213,45 @@ def test_jordan_rank_sequence_matches_the_recount(data):
     else:
         with pytest.raises(SpectralDataError):
             rank_sequence(res, xi)
+
+
+def _select_xi_two_pass(res):
+    """select_xi on an explicit residue as first written: the largest Jordan
+    block of each eigenvalue v from the powers of R - v alone, then the ranks
+    by a second pass through rank_sequence."""
+    m = res.explicit
+    xi = []
+    for value, _ in qi_eigenvalues(m):
+        shifted = m.add_scalar(-value)
+        power, rank = shifted, mat_rank(shifted)
+        largest = 1
+        while True:
+            power = power * shifted
+            next_rank = mat_rank(power)
+            if next_rank == rank:
+                break
+            rank = next_rank
+            largest += 1
+        xi.extend([value] * largest)
+    xi = tuple(xi)
+    return xi, rank_sequence(res, xi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_select_xi_matches_the_two_pass_reference(data):
+    # Jordan data of rank up to 6, conjugated by a random invertible matrix,
+    # which moves the eigenvectors off the coordinate axes
+    values = data.draw(st.lists(st.sampled_from(VALUES), min_size=1, max_size=3,
+                                unique=True))
+    sizes = [data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)) for _ in values]
+    assume(sum(map(sum, sizes)) <= 6)
+    jordan = ResidueSpec(jordan=tuple((v, tuple(b)) for v, b in zip(values, sizes)))
+    g = random_invertible(random.Random(data.draw(st.integers(0, 2 ** 32 - 1))), jordan.size)
+    res = ResidueSpec(explicit=g * jordan.as_matrix() * invert(g))
+    xi, ranks = select_xi(res)
+    assert (xi, ranks) == _select_xi_two_pass(res)
+    assert ranks == rank_sequence(jordan, xi)
 
 
 def test_the_pole_order_does_not_size_the_load():
